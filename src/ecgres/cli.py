@@ -126,13 +126,17 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
     print(f"segments: {len(segments)} (boundary skips: {skips})")
     for part, segs in (("train", split.train), ("test", split.test)):
-        hist = {c.name: 0 for c in wf.BeatClass}
-        for s in segs:
-            hist[s.label.name] += 1
-        pretty = "  ".join(f"{k}={v}" for k, v in hist.items())
+        pretty = "  ".join(f"{k}={v}" for k, v in wf.class_counts(segs).items())
         print(f"{part}: {len(segs)} beats  {pretty}")
     print(f"wrote {out_dir / 'train.ecgb'} and {out_dir / 'test.ecgb'}")
     return 0
+
+
+def _limit(segments: list[sg.BeatSegment], limit: int | None, rng) -> list[sg.BeatSegment]:
+    """A seeded random subset of at most `limit` segments; all when limit is None."""
+    if limit is None:
+        return segments
+    return [segments[i] for i in rng.permutation(len(segments))[:limit]]
 
 
 def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
@@ -141,14 +145,9 @@ def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
     for p in (train_path, test_path):
         if not p.exists():
             raise SizeError(f"dataset file {p} not found; run preprocess first")
-    split = sg.DatasetSplit(
-        sg.load_segments(train_path), sg.load_segments(test_path), cfg.seed
-    )
-    if cfg.limit is not None:
-        rng = np.random.default_rng(cfg.seed)
-        split.train = [split.train[i] for i in rng.permutation(len(split.train))[: cfg.limit]]
-        split.test = [split.test[i] for i in rng.permutation(len(split.test))[: cfg.limit]]
-    return split
+    rng = np.random.default_rng(cfg.seed)
+    train = _limit(sg.load_segments(train_path), cfg.limit, rng)
+    return sg.DatasetSplit(train, _limit(sg.load_segments(test_path), cfg.limit, rng), cfg.seed)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -180,10 +179,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint: str, dataset: str) -> int:
     model = md.load_checkpoint(checkpoint)
-    segments = sg.load_segments(dataset)
-    if cfg.limit is not None:
-        rng = np.random.default_rng(cfg.seed)
-        segments = [segments[i] for i in rng.permutation(len(segments))[: cfg.limit]]
+    segments = _limit(sg.load_segments(dataset), cfg.limit, np.random.default_rng(cfg.seed))
     x, y = sg.segments_to_arrays(segments)
     if x.shape[2] != model.config.input_length:
         raise ShapeError(
@@ -193,7 +189,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str, dataset: str) -> int:
     pred, _ = md.predict_batch(model, x)
     cm = me.confusion(y, pred)
     report = me.compute_metrics(cm)
-    me.emit_report(report, cm, None, cfg.output_dir)
+    me.emit_report(report, cm, cfg.output_dir)
     print(f"accuracy:    {report.overall_accuracy:.4f}")
     print(f"sensitivity: {report.macro_sensitivity:.4f}")
     print(f"specificity: {report.macro_specificity:.4f}")
@@ -217,9 +213,7 @@ def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: 
         window=cfg.window,
         policy=dn.ThresholdPolicy(mode=cfg.threshold_mode),
     )
-    win = sg.extract_window(channel, ref.annotation.sample_index)
-    seg = sg.rescale(sg.reduce_dimension(win)).astype(np.float32)
-    cls, probs = md.predict(model, seg)
+    cls, probs = md.predict(model, sg.segment_beat(channel, ref.annotation.sample_index))
     print(f"record {record}, beat {annotation_index} "
           f"(sample {ref.annotation.sample_index}, annotated {ref.annotation.code})")
     print(f"predicted: {cls.name}")
@@ -253,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float)
     p.add_argument("--optimizer", choices=["adam", "sgd"])
     p.add_argument("--eval-each-epoch", dest="eval_each_epoch", action="store_const", const=True)
     p.add_argument("--limit", type=int, help="subsample each set for smoke runs")
@@ -293,7 +287,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, SelectionError, FileNotFoundError) as e:
+    except (ParseError, SelectionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except EcgresError as e:

@@ -50,13 +50,10 @@ class WaveletDecomposition:
 @dataclass(frozen=True)
 class ThresholdPolicy:
     mode: str = "soft"  # "soft" | "hard"
-    rule: str = "universal"
 
     def __post_init__(self):
         if self.mode not in ("soft", "hard"):
             raise ParameterError(f"unknown threshold mode {self.mode!r}")
-        if self.rule != "universal":
-            raise ParameterError(f"unknown threshold rule {self.rule!r}")
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -106,8 +106,8 @@ def compute_metrics(cm: np.ndarray) -> MetricsReport:
     )
 
 
-def emit_report(report: MetricsReport, cm: np.ndarray, trainlog, out_dir) -> list[Path]:
-    """Write confusion.csv, metrics.json, and curves.csv into out_dir."""
+def emit_report(report: MetricsReport, cm: np.ndarray, out_dir) -> list[Path]:
+    """Write confusion.csv and metrics.json into out_dir."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -123,11 +123,6 @@ def emit_report(report: MetricsReport, cm: np.ndarray, trainlog, out_dir) -> lis
         p = out_dir / "metrics.json"
         p.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         files.append(p)
-
-        if trainlog is not None:
-            p = out_dir / "curves.csv"
-            p.write_text(trainlog.to_csv())
-            files.append(p)
         return files
     except OSError as e:
         raise IoError(f"failed writing report to {out_dir}: {e}") from e

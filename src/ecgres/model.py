@@ -79,72 +79,69 @@ class TrainLog:
 
 
 class Model:
-    """Parameter container plus the hand-chained forward/backward pass."""
+    """Parameter container: one ordered layer list is the whole architecture.
+
+    Each layer is also an attribute (`conv1` ... `fc2`) whose name prefixes
+    its tensor names in `params()`, `grads()` and checkpoints.
+    """
 
     def __init__(self, config: ModelConfig):
-        self.config = config
-        c = config
-        pad = c.conv_kernel // 2
-        res_pad = c.res_kernel // 2
+        self.config = c = config
+        pad, res_pad = c.conv_kernel // 2, c.res_kernel // 2
         rng = np.random.default_rng(c.seed)
+        self._named: dict[str, nn.Layer] = {}
 
-        length = c.input_length
-        chain = [length]
+        def named(name, layer):
+            self._named[name] = layer
+            setattr(self, name, layer)
+            return layer
 
-        def advance(kernel, stride, padding):
-            nonlocal length
-            length = nn.conv_out_length(length, kernel, stride, padding)
-            chain.append(length)
-
-        self.conv1 = nn.Conv1d(1, c.conv_filters, c.conv_kernel, c.conv_stride, pad, rng)
-        advance(c.conv_kernel, c.conv_stride, pad)
-        self.relu1 = nn.ReLU()
-        self.pool1 = nn.MaxPool1d(c.pool_window, c.pool_stride, ceil_mode=True)
-        length = -(-(length - c.pool_window) // c.pool_stride) + 1 if length >= c.pool_window else 0
-        chain.append(length)
-
-        self.conv2 = nn.Conv1d(c.conv_filters, c.conv_filters, c.conv_kernel, c.conv_stride, pad, rng)
-        advance(c.conv_kernel, c.conv_stride, pad)
-        self.relu2 = nn.ReLU()
-        self.pool2 = nn.MaxPool1d(c.pool_window, c.pool_stride, ceil_mode=True)
-        length = -(-(length - c.pool_window) // c.pool_stride) + 1 if length >= c.pool_window else 0
-        chain.append(length)
-
-        self.res_conv1 = nn.Conv1d(c.conv_filters, c.res_filters, c.res_kernel, c.res_stride, res_pad, rng)
-        self.res_relu = nn.ReLU()
-        self.res_conv2 = nn.Conv1d(c.res_filters, c.res_filters, c.res_kernel, 1, res_pad, rng)
-        self.res_proj = nn.Conv1d(c.conv_filters, c.res_filters, 1, c.res_stride, 0, rng)
-        advance(c.res_kernel, c.res_stride, res_pad)
-        self.relu3 = nn.ReLU()
-
+        f, r = c.conv_filters, c.res_filters
+        self.layers = [
+            named("conv1", nn.Conv1d(1, f, c.conv_kernel, c.conv_stride, pad, rng)),
+            named("relu1", nn.ReLU()),
+            named("pool1", nn.MaxPool1d(c.pool_window, c.pool_stride, ceil_mode=True)),
+            named("conv2", nn.Conv1d(f, f, c.conv_kernel, c.conv_stride, pad, rng)),
+            named("relu2", nn.ReLU()),
+            named("pool2", nn.MaxPool1d(c.pool_window, c.pool_stride, ceil_mode=True)),
+            nn.Residual(
+                [named("res_conv1", nn.Conv1d(f, r, c.res_kernel, c.res_stride, res_pad, rng)),
+                 named("res_relu", nn.ReLU()),
+                 named("res_conv2", nn.Conv1d(r, r, c.res_kernel, 1, res_pad, rng))],
+                named("res_proj", nn.Conv1d(f, r, 1, c.res_stride, 0, rng)),
+            ),
+            named("relu3", nn.ReLU()),
+        ]
+        # activation lengths along the chain, one entry per change
+        chain = [c.input_length]
+        for layer in self.layers:
+            length = layer.out_length(chain[-1])
+            if length != chain[-1]:
+                chain.append(length)
         if min(chain) <= 0:
             raise ConfigError(f"layer length chain collapses: {chain}")
         self.length_chain = chain
-        self.flat_features = c.res_filters * length
+        self.flat_features = r * chain[-1]
 
-        self.fc1 = nn.Dense(self.flat_features, c.fc_hidden, rng)
-        self.relu4 = nn.ReLU()
-        self.fc2 = nn.Dense(c.fc_hidden, c.num_classes, rng)
+        self.layers += [
+            nn.Flatten(),
+            named("fc1", nn.Dense(self.flat_features, c.fc_hidden, rng)),
+            named("relu4", nn.ReLU()),
+            named("fc2", nn.Dense(c.fc_hidden, c.num_classes, rng)),
+        ]
 
-        self._named = {
-            "conv1": self.conv1, "conv2": self.conv2,
-            "res_conv1": self.res_conv1, "res_conv2": self.res_conv2,
-            "res_proj": self.res_proj, "fc1": self.fc1, "fc2": self.fc2,
+    def _tensors(self, kind: str) -> dict[str, np.ndarray]:
+        return {
+            f"{lname}.{pname}": arr
+            for lname, layer in self._named.items()
+            for pname, arr in getattr(layer, kind).items()
         }
 
     def params(self) -> dict[str, np.ndarray]:
-        return {
-            f"{lname}.{pname}": arr
-            for lname, layer in self._named.items()
-            for pname, arr in layer.params.items()
-        }
+        return self._tensors("params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {
-            f"{lname}.{pname}": arr
-            for lname, layer in self._named.items()
-            for pname, arr in layer.grads.items()
-        }
+        return self._tensors("grads")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_length:
@@ -152,26 +149,15 @@ class Model:
                 f"expected (batch, 1, {self.config.input_length}), got {x.shape}"
             )
         nn.check_finite(x, "model input")
-        x = x.astype(np.float64, copy=False)
-        h = self.pool1.forward(self.relu1.forward(self.conv1.forward(x)))
-        h = self.pool2.forward(self.relu2.forward(self.conv2.forward(h)))
-        main = self.res_conv2.forward(self.res_relu.forward(self.res_conv1.forward(h)))
-        short = self.res_proj.forward(h)
-        r = self.relu3.forward(nn.residual_add(main, short))
-        self._res_shape = r.shape
-        flat = r.reshape(r.shape[0], -1)
-        return self.fc2.forward(self.relu4.forward(self.fc1.forward(flat)))
+        h = x.astype(np.float64, copy=False)
+        for layer in self.layers:
+            h = layer.forward(h)
+        return h
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        g = self.fc1.backward(self.relu4.backward(self.fc2.backward(grad_logits)))
-        g = self.relu3.backward(g.reshape(self._res_shape))
-        g_main = self.res_conv1.backward(
-            self.res_relu.backward(self.res_conv2.backward(g))
-        )
-        g_short = self.res_proj.backward(g)
-        g = g_main + g_short
-        g = self.conv2.backward(self.relu2.backward(self.pool2.backward(g)))
-        g = self.conv1.backward(self.relu1.backward(self.pool1.backward(g)))
+        g = grad_logits
+        for layer in reversed(self.layers):
+            g = layer.backward(g)
 
 
 def build_model(config: ModelConfig = ModelConfig()) -> Model:

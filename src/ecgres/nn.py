@@ -2,8 +2,8 @@
 
 Layers operate on float32 numpy arrays shaped (batch, channels, length) or
 (batch, features). Each layer caches what its backward pass needs; parameter
-gradients land in the layer's `grads` dict. No autodiff graph: the model
-chains forward/backward calls explicitly.
+gradients land in the layer's `grads` dict. No autodiff graph: a model is
+an ordered layer list, run forward in order and backward in reverse.
 """
 from __future__ import annotations
 
@@ -19,16 +19,16 @@ def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def conv_out_length(length: int, kernel: int, stride: int, padding: int) -> int:
-    return (length + 2 * padding - kernel) // stride + 1
-
-
 class Layer:
     """Base: parameterless layers leave params/grads empty."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+
+    def out_length(self, n: int) -> int:
+        """Length of the output's last axis for an input of length n."""
+        return n
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -53,6 +53,9 @@ class Conv1d(Layer):
             -bound, bound, (out_channels, in_channels, kernel)
         ).astype(np.float32)
         self.params["b"] = np.zeros(out_channels, dtype=np.float32)
+
+    def out_length(self, n):
+        return (n + 2 * self.padding - self.kernel) // self.stride + 1
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -112,42 +115,70 @@ class MaxPool1d(Layer):
         self.stride = stride
         self.ceil_mode = ceil_mode
 
+    def out_length(self, n):
+        if n < self.window:
+            return 0
+        full = (n - self.window) // self.stride + 1
+        return full + bool(self.ceil_mode and full * self.stride < n)
+
     def forward(self, x):
         if x.ndim != 3:
             raise ShapeError(f"maxpool1d expects rank-3 input, got {x.shape}")
-        n = x.shape[2]
-        if n < self.window:
+        n, lo = x.shape[2], self.out_length(x.shape[2])
+        if lo == 0:
             raise ShapeError(f"pool window {self.window} exceeds length {n}")
-        n_full = (n - self.window) // self.stride + 1
+        # right-pad with -inf so the ceil-mode tail is just the last window
+        pad = (lo - 1) * self.stride + self.window - n
+        if pad > 0:
+            x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
         win = sliding_window_view(x, self.window, axis=2)[:, :, :: self.stride]
-        win = win[:, :, :n_full]
-        arg = win.argmax(axis=3)
-        y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
-        self._x_shape = x.shape
-        self._arg = arg
-        self._tail_arg = None
-        tail_start = n_full * self.stride
-        if self.ceil_mode and tail_start < n:
-            tail = x[:, :, tail_start:]
-            targ = tail.argmax(axis=2)
-            y = np.concatenate(
-                [y, np.take_along_axis(tail, targ[..., None], axis=2)], axis=2
-            )
-            self._tail_arg = targ + tail_start
-        return y
+        self._arg = win.argmax(axis=3)
+        self._shape, self._n = x.shape, n
+        return np.take_along_axis(win, self._arg[..., None], axis=3)[..., 0]
 
     def backward(self, gy):
-        gx = np.zeros(self._x_shape, dtype=gy.dtype)
-        b, c, lo = self._arg.shape
-        bi, ci, oi = np.meshgrid(
-            np.arange(b), np.arange(c), np.arange(lo), indexing="ij"
-        )
-        src = oi * self.stride + self._arg
-        np.add.at(gx, (bi, ci, src), gy[:, :, :lo])
-        if self._tail_arg is not None:
-            bi, ci = np.meshgrid(np.arange(b), np.arange(c), indexing="ij")
-            np.add.at(gx, (bi, ci, self._tail_arg), gy[:, :, -1])
-        return gx
+        gx = np.zeros(self._shape, dtype=gy.dtype)
+        span = gy.shape[2] * self.stride
+        for k in range(self.window):
+            gx[:, :, k : k + span : self.stride] += gy * (self._arg == k)
+        return gx[:, :, : self._n]
+
+
+class Flatten(Layer):
+    """(batch, channels, length) -> (batch, channels * length)."""
+
+    def forward(self, x):
+        self._shape = x.shape
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, gy):
+        return gy.reshape(self._shape)
+
+
+class Residual(Layer):
+    """main(x) + shortcut(x); main is a layer list run in order."""
+
+    def __init__(self, main: list[Layer], shortcut: Layer):
+        super().__init__()
+        self.main = main
+        self.shortcut = shortcut
+
+    def out_length(self, n):
+        for layer in self.main:
+            n = layer.out_length(n)
+        return n
+
+    def forward(self, x):
+        h = x
+        for layer in self.main:
+            h = layer.forward(h)
+        return residual_add(h, self.shortcut.forward(x))
+
+    def backward(self, gy):
+        g = gy
+        for layer in reversed(self.main):
+            g = layer.backward(g)
+        return g + self.shortcut.backward(gy)
 
 
 class Dense(Layer):

@@ -72,6 +72,11 @@ def rescale(segment: np.ndarray) -> np.ndarray:
     return 2.0 * (seg - lo) / (hi - lo) - 1.0
 
 
+def segment_beat(channel: np.ndarray, center: int) -> np.ndarray:
+    """The network input for one beat: window, crop, rescale, float32."""
+    return rescale(reduce_dimension(extract_window(channel, center))).astype(np.float32)
+
+
 def segment_record_beats(
     refs: list[BeatRef],
     denoise_signal: bool = True,
@@ -96,11 +101,10 @@ def segment_record_beats(
             channel = dn.denoise(channel, levels=levels, window=window, policy=policy)
         for ref in group:
             try:
-                win = extract_window(channel, ref.annotation.sample_index)
+                seg = segment_beat(channel, ref.annotation.sample_index)
             except BoundarySkip:
                 skips += 1
                 continue
-            seg = rescale(reduce_dimension(win)).astype(np.float32)
             segments.append(
                 BeatSegment(seg, ref.label, name, ref.annotation.sample_index)
             )
@@ -215,15 +219,6 @@ def load_segments(path: str | Path) -> list[BeatSegment]:
     if len(out) != count:
         raise ParseError(f"{path}: expected {count} segments, read {len(out)}")
     return out
-
-
-def export_csv(segments: list[BeatSegment], path: str | Path) -> None:
-    """One row per beat: label id then 180 sample values."""
-    with open(path, "w") as f:
-        f.write("label," + ",".join(f"s{i}" for i in range(SEGMENT_SAMPLES)) + "\n")
-        for seg in segments:
-            vals = ",".join(f"{v:.6g}" for v in seg.samples)
-            f.write(f"{int(seg.label)},{vals}\n")
 
 
 def segments_to_arrays(segments: list[BeatSegment]) -> tuple[np.ndarray, np.ndarray]:

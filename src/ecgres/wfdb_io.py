@@ -6,6 +6,7 @@ with MIT-format annotation files.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -160,20 +161,16 @@ def parse_header(text: str) -> RecordHeader:
             raise ParseError(f"line {lineno}: short signal line {lines[1 + i]!r}")
         try:
             # format token may carry xN/:N/+N modifiers; take the leading int
-            fmt = int("".join(c for c in toks[1] if c.isdigit() or c == "-") or toks[1])
+            fmt = int(re.match(r"\d*", toks[1]).group())
+            # a zero gain means unspecified: WFDB's default is 200
+            gain = float(toks[2].split("(")[0].split("/")[0]) or 200.0
+            adc_zero = int(toks[4]) if len(toks) > 4 else 0
         except ValueError as e:
-            raise ParseError(f"line {lineno}: bad format token {toks[1]!r}") from e
+            raise ParseError(f"line {lineno}: bad signal line {lines[1 + i]!r} ({e})") from e
         if fmt != 212:
             raise UnsupportedFormat(
                 f"line {lineno}: signal format {fmt} (only 212 supported)"
             )
-        try:
-            gain = float(toks[2].split("(")[0].split("/")[0])
-        except ValueError as e:
-            raise ParseError(f"line {lineno}: bad gain {toks[2]!r}") from e
-        if gain == 0:
-            gain = 200.0  # WFDB default when gain is unspecified
-        adc_zero = int(toks[4]) if len(toks) > 4 else 0
         description = " ".join(toks[8:]) if len(toks) > 8 else f"sig{i}"
         signals.append(SignalSpec(toks[0], fmt, gain, adc_zero, description))
 

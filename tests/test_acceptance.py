@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. Criteria that need the real
 MIT-BIH files (1, and the full-protocol variant of 5) are skipped unless
 MITDB_DIR points at them; the pipeline-contract criteria run on the bundled
 synthetic database generator. The full 300-epoch protocol additionally wants
-ECGRES_FULL_PROTOCOL=1 (multi-hour CPU run); scripts/run_full_protocol.sh is
+ECGRES_FULL_PROTOCOL=1 (~11 min of CPU training); scripts/run_full_protocol.sh is
 the stand-alone invocation.
 """
 import os
@@ -214,7 +214,7 @@ def _split_for_headline(per_set_size=None):
 
 
 @pytest.mark.skipif(not (MITDB_DIR and FULL_PROTOCOL),
-                    reason="needs MITDB_DIR and ECGRES_FULL_PROTOCOL=1 (multi-hour run)")
+                    reason="needs MITDB_DIR and ECGRES_FULL_PROTOCOL=1 (full 300-epoch run)")
 def test_criterion_5_headline_full_protocol():
     split, _ = _split_for_headline(per_set_size=13200)
     model = md.build_model(md.ModelConfig(seed=0))

@@ -1,4 +1,8 @@
 import json
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,22 @@ class TestIngest:
         rc = run(["ingest", "--output-dir", tmp_path])
         assert rc == 0
 
+    def test_output_dir_is_a_file_exit_2(self, synth_db_small, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run(["ingest", "--data-dir", synth_db_small, "--output-dir", blocker]) == 2
+
+    def test_non_integer_adc_zero_exit_2(self, synth_db_small, tmp_path):
+        for ext in ("hea", "dat", "atr"):
+            shutil.copy(synth_db_small / f"100.{ext}", tmp_path / f"100.{ext}")
+        hea = tmp_path / "100.hea"
+        lines = hea.read_text().splitlines()
+        toks = lines[1].split()
+        toks[4] = "10.5"
+        lines[1] = " ".join(toks)
+        hea.write_text("\n".join(lines) + "\n")
+        assert run(["ingest", "--data-dir", tmp_path, "--output-dir", tmp_path / "o"]) == 2
+
 
 class TestPreprocess:
     def test_outputs_exist(self, preprocessed):
@@ -66,6 +86,11 @@ class TestPreprocess:
                         "--output-dir", out, "--seed", 11]) == 0
         assert (a / "train.ecgb").read_bytes() == (b / "train.ecgb").read_bytes()
         assert (a / "test.ecgb").read_bytes() == (b / "test.ecgb").read_bytes()
+
+    def test_output_dir_is_a_file_exit_2(self, synth_db_small, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run(["preprocess", "--data-dir", synth_db_small, "--output-dir", blocker]) == 2
 
     def test_per_set_size_too_large_exit_3(self, synth_db_small, tmp_path):
         rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path,
@@ -115,6 +140,13 @@ class TestEvaluate:
                   "--dataset", trained / "test.ecgb", "--output-dir", tmp_path])
         assert rc == 5
 
+    def test_unwritable_report_dir_exit_3(self, trained, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
+                  "--dataset", trained / "test.ecgb", "--output-dir", blocker])
+        assert rc == 3
+
     def test_deterministic_metrics(self, trained, tmp_path):
         outs = []
         for name in ("m1", "m2"):
@@ -144,3 +176,17 @@ class TestPredict:
                   "--data-dir", synth_db_small, "--record", "100",
                   "--annotation-index", 10**6])
         assert rc == 2
+
+
+def test_full_protocol_script_flags_parse():
+    """Every `ecgres ...` line of the protocol script is valid CLI input."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_protocol.sh"
+    text = script.read_text().replace("\\\n", " ")
+    values = {"MITDB_DIR": "/data/mitdb", "OUT": "runs/full"}
+    commands = [ln.split(None, 1)[1] for ln in text.splitlines()
+                if ln.startswith("ecgres ")]
+    assert len(commands) == 3
+    for cmd in commands:
+        cmd = re.sub(r"\$\{?(\w+)\}?", lambda m: values[m.group(1)], cmd)
+        args = cli.build_parser().parse_args(shlex.split(cmd))
+        assert args.command in ("preprocess", "train", "evaluate")

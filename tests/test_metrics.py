@@ -5,7 +5,6 @@ import pytest
 
 from ecgres import metrics as me
 from ecgres.errors import InputError
-from ecgres.model import EpochStats, TrainLog
 
 
 class TestConfusion:
@@ -98,34 +97,32 @@ class TestComputeMetrics:
 class TestEmitReport:
     def _sample(self):
         cm = np.diag([5, 4, 3, 2, 1])
-        report = me.compute_metrics(cm)
-        log = TrainLog([EpochStats(1, 0.5, 0.9, 0.88, 1.0)])
-        return report, cm, log
+        return me.compute_metrics(cm), cm
 
     def test_files_written(self, tmp_path):
-        report, cm, log = self._sample()
-        files = me.emit_report(report, cm, log, tmp_path)
+        report, cm = self._sample()
+        files = me.emit_report(report, cm, tmp_path)
         names = {f.name for f in files}
-        assert names == {"confusion.csv", "metrics.json", "curves.csv"}
+        assert names == {"confusion.csv", "metrics.json"}
 
     def test_confusion_csv_layout(self, tmp_path):
-        report, cm, log = self._sample()
-        me.emit_report(report, cm, log, tmp_path)
+        report, cm = self._sample()
+        me.emit_report(report, cm, tmp_path)
         lines = (tmp_path / "confusion.csv").read_text().splitlines()
         assert lines[0] == "true\\pred,NOR,LBBB,RBBB,APC,PVC"
         assert lines[1] == "NOR,5,0,0,0,0"
         assert len(lines) == 6
 
     def test_metrics_json_matches_report(self, tmp_path):
-        report, cm, log = self._sample()
-        me.emit_report(report, cm, log, tmp_path)
+        report, cm = self._sample()
+        me.emit_report(report, cm, tmp_path)
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc["overall_accuracy"] == report.overall_accuracy
         assert doc["per_class"]["NOR"]["tp"] == 5
 
     def test_deterministic_bytes(self, tmp_path):
-        report, cm, log = self._sample()
-        me.emit_report(report, cm, log, tmp_path / "a")
-        me.emit_report(report, cm, log, tmp_path / "b")
-        for name in ("confusion.csv", "metrics.json", "curves.csv"):
+        report, cm = self._sample()
+        me.emit_report(report, cm, tmp_path / "a")
+        me.emit_report(report, cm, tmp_path / "b")
+        for name in ("confusion.csv", "metrics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,27 @@ class TestBuildModel:
         m1 = md.build_model(md.ModelConfig(seed=1))
         m2 = md.build_model(md.ModelConfig(seed=2))
         assert not np.array_equal(m1.params()["conv1.w"], m2.params()["conv1.w"])
+
+    def test_length_chain_matches_activations(self):
+        # stride-1 ceil pooling keeps a shrunken tail window: 90 -> 89
+        m = md.build_model(md.ModelConfig(pool_window=3, pool_stride=1))
+        h, seen = np.zeros((2, 1, 180)), [180]
+        for layer in m.layers:
+            h = layer.forward(h)
+            if h.ndim == 3 and h.shape[2] != seen[-1]:
+                seen.append(h.shape[2])
+        assert seen == m.length_chain == [180, 90, 89, 45, 44, 22]
+        assert m.flat_features == 18 * 22
+        assert m.forward(np.zeros((2, 1, 180))).shape == (2, 5)
+
+    def test_layer_list_covers_named_layers(self, small_model):
+        names = ["conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "res_conv1",
+                 "res_relu", "res_conv2", "res_proj", "relu3", "fc1", "relu4", "fc2"]
+        assert list(small_model._named) == names
+        assert all(getattr(small_model, n) is small_model._named[n] for n in names)
+        assert list(small_model.params()) == [
+            f"{n}.{p}" for n in ("conv1", "conv2", "res_conv1", "res_conv2", "res_proj",
+                                 "fc1", "fc2") for p in ("w", "b")]
 
     def test_collapsing_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -141,6 +164,15 @@ class TestTrain:
         for k in finals[0]:
             assert np.array_equal(finals[0][k], finals[1][k]), k
 
+    def test_pinned_parameters_after_toy_run(self):
+        # float64 compute with deterministic reductions: any change to the
+        # forward/backward arithmetic or the Adam update shows here
+        m = md.build_model(md.ModelConfig(seed=0))
+        md.train(m, self._toy_split(40), md.TrainConfig(epochs=3, shuffle_seed=0))
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in m.params().values()))
+        assert digest.hexdigest() == (
+            "4358f7d30a95d88d17e3f379a09e12f54a44c188dfd984484a61eed1aef78552")
+
     def test_overfits_small_subset(self, synth_segments):
         # capacity check: 50 beats to 100% train accuracy within 200 epochs
         rng = np.random.default_rng(0)
@@ -174,6 +206,12 @@ class TestCheckpoint:
         assert loaded.config == small_model.config
         for k, v in small_model.params().items():
             assert np.array_equal(v, loaded.params()[k]), k
+
+    def test_pinned_bytes_seed0(self, tmp_path):
+        path = tmp_path / "m.ecgm"
+        md.save_checkpoint(md.build_model(md.ModelConfig(seed=0)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "588457c83490774d1c85d72329d36e6fc6d3515cef7cf56c52c18f8e08acbd86")
 
     def test_truncated_rejected(self, small_model, tmp_path):
         path = tmp_path / "m.ecgm"

@@ -175,6 +175,31 @@ class TestMaxPool:
         gx = layer.backward(np.array([[[1.0, 2.0]]]))
         assert np.array_equal(gx, [[[0.0, 1.0, 2.0]]])
 
+    @pytest.mark.parametrize("ceil_mode", [False, True])
+    def test_out_length_and_backward_match_windows(self, ceil_mode):
+        # the windows start at 0, s, 2s, ...; ceil mode keeps a final shrunken
+        # window over the samples a full window would not reach
+        rng = np.random.default_rng(5)
+        for window in range(1, 5):
+            for stride in range(1, 4):
+                for n in range(window, 17):
+                    layer = nn.MaxPool1d(window, stride, ceil_mode=ceil_mode)
+                    x = rng.integers(0, 3, (2, 2, n)).astype(np.float64)  # ties
+                    y = layer.forward(x)
+                    assert y.shape[2] == layer.out_length(n)
+                    gy = rng.standard_normal(y.shape)
+                    want = np.zeros_like(x)
+                    for i in range(y.shape[2]):
+                        seg = x[:, :, i * stride : i * stride + window]
+                        assert np.array_equal(y[:, :, i], seg.max(axis=2))
+                        first = i * stride + seg.argmax(axis=2)
+                        for b, c in np.ndindex(2, 2):
+                            want[b, c, first[b, c]] += gy[b, c, i]
+                    assert np.allclose(layer.backward(gy), want, rtol=0, atol=1e-12)
+
+    def test_out_length_below_window_is_zero(self):
+        assert nn.MaxPool1d(3, 2, ceil_mode=True).out_length(2) == 0
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((2, 2, 11))
@@ -282,6 +307,31 @@ class TestResidualAdd:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nn.residual_add(np.zeros((1, 2)), np.zeros((2, 1)))
+
+
+class TestFlattenResidual:
+    def test_flatten_roundtrip(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        layer = nn.Flatten()
+        assert layer.forward(x).shape == (2, 12)
+        assert np.array_equal(layer.backward(layer.forward(x)), x)
+
+    def test_residual_shape_mismatch(self):
+        block = nn.Residual([make_conv(2, 2, 3, 2, 1)], make_conv(2, 2, 1, 1, 0))
+        with pytest.raises(ShapeError, match="residual"):
+            block.forward(np.zeros((1, 2, 8)))
+
+    def test_residual_out_length_and_gradient(self):
+        main = [make_conv(2, 3, 3, 2, 1, seed=1), nn.ReLU(), make_conv(3, 3, 3, 1, 1, seed=2)]
+        block = nn.Residual(main, make_conv(2, 3, 1, 2, 0, seed=3))
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 2, 9))
+        y = block.forward(x)
+        assert y.shape == (2, 3, block.out_length(9)) == (2, 3, 5)
+        gw = rng.standard_normal(y.shape)
+        gx = block.backward(gw)
+        fd = fd_gradient(lambda v: float(np.sum(block.forward(v) * gw)), x, h=1e-6)
+        assert rel_error(gx, fd) < 1e-4
 
 
 class TestAdam:

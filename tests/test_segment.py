@@ -173,16 +173,6 @@ class TestDatasetFile:
         with pytest.raises(ParseError):
             sg.load_segments(p)
 
-    def test_csv_export(self, tmp_path):
-        segs = [make_segment(label=BeatClass.PVC, ann=1, seed=1)]
-        p = tmp_path / "x.csv"
-        sg.export_csv(segs, p)
-        lines = p.read_text().splitlines()
-        assert lines[0].startswith("label,s0,")
-        assert lines[1].startswith("4,")
-        assert len(lines) == 2
-        assert len(lines[1].split(",")) == 181
-
 
 class TestArrays:
     def test_shapes_and_dtype(self):

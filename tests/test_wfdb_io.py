@@ -50,6 +50,21 @@ class TestParseHeader:
         h = wf.parse_header(text)
         assert h.signals[0].gain == 200.0
 
+    @pytest.mark.parametrize("token", ["212", "212+0", "212:0", "212x1"])
+    def test_format_modifiers_keep_leading_int(self, token):
+        h = wf.parse_header(f"x 1 360 1000\nx.dat {token} 200 11 1024 0 0 0 MLII\n")
+        assert h.signals[0].format_code == 212
+
+    @pytest.mark.parametrize("line", [
+        "x.dat abc 200 11 1024 0 0 0 MLII",   # no leading integer in the format
+        "x.dat 212 high 11 1024 0 0 0 MLII",  # non-numeric gain
+        "x.dat 212 200 11 10.5 0 0 0 MLII",   # non-integer ADC zero
+        "x.dat 212 200 11 zero 0 0 0 MLII",
+    ])
+    def test_bad_signal_fields_raise_parse_error(self, line):
+        with pytest.raises(ParseError, match="line 2"):
+            wf.parse_header(f"x 1 360 1000\n{line}\n")
+
 
 class TestFormat212:
     def test_all_zero_group(self):
