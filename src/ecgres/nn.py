@@ -1,9 +1,17 @@
 """Minimal deterministic tensor engine with hand-written gradients.
 
-Layers operate on float32 numpy arrays shaped (batch, channels, length) or
-(batch, features). Each layer caches what its backward pass needs; parameter
-gradients land in the layer's `grads` dict. No autodiff graph: a model is
-an ordered layer list, run forward in order and backward in reverse.
+Parameters are stored as float32; layers compute in the dtype of their
+input, which the model makes float64. Activations are C-contiguous arrays
+shaped (batch, channels, length), or (batch, features) after `Flatten`. Each
+layer caches what its backward pass needs; parameter gradients land in the
+layer's `grads` dict. No autodiff graph: a model is an ordered layer list,
+run forward in order and backward in reverse.
+
+`Conv1d` is lowered to matrix products (im2col): its forward copies the
+padded input windows into a (batch*length, channels*kernel) matrix and
+multiplies it by the (out_channels, channels*kernel) weights; its backward
+is one product for the weight gradient and one for the window gradients,
+which `kernel` strided adds scatter back to the input positions (col2im).
 """
 from __future__ import annotations
 
@@ -68,27 +76,31 @@ class Conv1d(Layer):
             )
         xp = np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding)))
         win = sliding_window_view(xp, self.kernel, axis=2)[:, :, :: self.stride]
-        self._win = win
+        b_, c, lo, k = win.shape
+        # im2col: one copy of the windows, rows (batch, position), columns (channel, tap)
+        self._cols = win.transpose(0, 2, 1, 3).reshape(b_ * lo, c * k)
         self._x_shape = x.shape
         # compute in the activation dtype; float64 activations keep the
         # contraction batch-size independent (64-bit accumulation)
         w = self.params["w"].astype(x.dtype, copy=False)
-        b = self.params["b"].astype(x.dtype, copy=False)
-        y = np.einsum("bclk,ock->bol", win, w, optimize=True) + b[None, :, None]
-        return y.astype(x.dtype, copy=False)
+        y = self._cols @ w.reshape(len(w), -1).T
+        y += self.params["b"].astype(x.dtype, copy=False)
+        return np.ascontiguousarray(y.reshape(b_, lo, -1).transpose(0, 2, 1))
 
     def backward(self, gy):
+        b_, o, lo = gy.shape
         w = self.params["w"].astype(gy.dtype, copy=False)
-        self.grads["w"] = np.einsum("bol,bclk->ock", gy, self._win, optimize=True)
+        g2 = gy.transpose(0, 2, 1).reshape(b_ * lo, o)
+        self.grads["w"] = (g2.T @ self._cols).reshape(w.shape)
         self.grads["b"] = gy.sum(axis=(0, 2))
-        b_, c, lp = self._x_shape[0], self._x_shape[1], self._x_shape[2] + 2 * self.padding
-        gxp = np.zeros((b_, c, lp), dtype=np.float64)
-        lo = gy.shape[2]
-        for m in range(self.kernel):
-            # every output i reads padded position i*stride + m
-            contrib = np.einsum("bol,oc->bcl", gy, w[:, :, m], optimize=True)
-            gxp[:, :, m : m + lo * self.stride : self.stride] += contrib
+        # col2im: column (c, m) of row (b, i) goes back to padded position i*stride + m
+        gcols = (g2 @ w.reshape(o, -1)).reshape(b_, lo, self.in_channels, self.kernel)
         p = self.padding
+        lp = self._x_shape[2] + 2 * p
+        gxp = np.zeros((b_, self.in_channels, lp), dtype=gcols.dtype)
+        for m in range(self.kernel):
+            tap = gcols[:, :, :, m].transpose(0, 2, 1)
+            gxp[:, :, m : m + lo * self.stride : self.stride] += tap
         gx = gxp[:, :, p : lp - p] if p else gxp
         return gx.astype(gy.dtype, copy=False)
 
@@ -131,10 +143,17 @@ class MaxPool1d(Layer):
         pad = (lo - 1) * self.stride + self.window - n
         if pad > 0:
             x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
-        win = sliding_window_view(x, self.window, axis=2)[:, :, :: self.stride]
-        self._arg = win.argmax(axis=3)
+        # running max over the window taps; strict > keeps ties on the first tap
+        span = lo * self.stride
+        y = x[:, :, 0:span:self.stride].copy()
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(self.window - 1))
+        for k in range(1, self.window):
+            v = x[:, :, k : k + span : self.stride]
+            np.putmask(arg, v > y, k)
+            np.maximum(y, v, out=y)
+        self._arg = arg
         self._shape, self._n = x.shape, n
-        return np.take_along_axis(win, self._arg[..., None], axis=3)[..., 0]
+        return y
 
     def backward(self, gy):
         gx = np.zeros(self._shape, dtype=gy.dtype)
@@ -243,7 +262,11 @@ def residual_add(main: np.ndarray, shortcut: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Bias-corrected Adam over a flat dict of parameter arrays."""
+    """Bias-corrected Adam over a flat dict of parameter arrays.
+
+    The moments of all tensors live in one float64 vector, in the order of
+    `params`, and the update runs once over the concatenated gradients.
+    """
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -251,26 +274,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        for name, p in params.items():
-            g = grads[name]
-            check_finite(g, f"gradient of {name}")
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p, dtype=np.float64)
-                self.v[name] = np.zeros_like(p, dtype=np.float64)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * np.square(g, dtype=np.float64)
-            mhat = m / (1 - self.beta1 ** self.t)
-            vhat = v / (1 - self.beta2 ** self.t)
-            p -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype)
+        g = np.concatenate([grads[name].ravel() for name in params])
+        if not np.all(np.isfinite(g)):
+            for name in params:
+                check_finite(grads[name], f"gradient of {name}")
+        if self.m is None:
+            self.m = np.zeros(g.size, dtype=np.float64)
+            self.v = np.zeros(g.size, dtype=np.float64)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * np.square(g, dtype=np.float64)
+        mhat = m / (1 - self.beta1 ** self.t)
+        vhat = v / (1 - self.beta2 ** self.t)
+        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        start = 0
+        for p in params.values():
+            p -= update[start : start + p.size].reshape(p.shape).astype(p.dtype)
+            start += p.size
 
 
 class Sgd:

@@ -293,15 +293,25 @@ def encode_annotations(annotations) -> bytes:
 
 
 def load_record(data_dir: str | Path, name: str) -> EcgRecord:
-    """Load one record's header, signals (converted to mV), and annotations."""
+    """Load one record's header, signals (converted to mV), and annotations.
+
+    The signal file is the one the header names, relative to `data_dir`.
+    """
     data_dir = Path(data_dir)
     header = parse_header((data_dir / f"{name}.hea").read_text())
     if header.num_signals != 2:
         raise ParseError(
             f"record {name}: expected 2 signals, header declares {header.num_signals}"
         )
+    # format 212 interleaves both signals in one file, named on each signal line
+    files = {spec.file_name for spec in header.signals}
+    if len(files) != 1:
+        raise ParseError(
+            f"record {name}: format-212 signals must share one file, header names "
+            f"{sorted(files)}"
+        )
     raw1, raw2 = decode_format212(
-        (data_dir / f"{name}.dat").read_bytes(), header.num_samples
+        (data_dir / files.pop()).read_bytes(), header.num_samples
     )
     channels = []
     for spec, raw in zip(header.signals, (raw1, raw2)):

@@ -55,6 +55,27 @@ class TestBuildModel:
             f"{n}.{p}" for n in ("conv1", "conv2", "res_conv1", "res_conv2", "res_proj",
                                  "fc1", "fc2") for p in ("w", "b")]
 
+    def test_backward_returns_input_shaped_gradient(self, small_model):
+        # every named layer's backward returns a gradient shaped like its
+        # forward input; perfbench counts conv MACs from that shape
+        seen = {}
+        for name, layer in small_model._named.items():
+            def fwd(x, name=name, f=layer.forward):
+                seen[name] = [x.shape]
+                return f(x)
+
+            def bwd(g, name=name, b=layer.backward):
+                gx = b(g)
+                seen[name].append(gx.shape)
+                return gx
+
+            layer.forward, layer.backward = fwd, bwd
+        x = np.random.default_rng(3).standard_normal((4, 1, 180))
+        small_model.backward(np.ones_like(small_model.forward(x)))
+        assert len(seen) == 14
+        for name, (x_shape, gx_shape) in seen.items():
+            assert gx_shape == x_shape, name
+
     def test_collapsing_config_rejected(self):
         with pytest.raises(ConfigError):
             md.build_model(md.ModelConfig(input_length=8))
@@ -83,6 +104,16 @@ class TestForward:
         full = small_model.forward(batch)
         single = small_model.forward(batch[7:8])
         assert np.abs(full[7] - single[0]).max() < 1e-6
+
+    def test_pinned_logits_seed0(self):
+        # float64 forward of a fixed 256-beat batch: any change to the
+        # forward arithmetic (summation order included) shows here
+        m = md.build_model(md.ModelConfig(seed=0))
+        x = np.random.default_rng(0).standard_normal((256, 1, 180)).astype(np.float32)
+        logits = m.forward(x)
+        assert logits.dtype == np.float64
+        assert hashlib.sha256(logits.tobytes()).hexdigest() == (
+            "38ff7987040a36510132010f35dbc3b6e9b5d36806ba7cf0ba96b5a7c3574e26")
 
     def test_bad_shape(self, small_model):
         with pytest.raises(ShapeError):

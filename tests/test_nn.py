@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ecgres import nn
 from ecgres.errors import LabelError, NumericError, ShapeError
@@ -8,7 +9,7 @@ from conftest import fd_gradient, rel_error
 
 
 def conv1d_oracle(x, w, b, stride, padding):
-    """Triple-loop direct summation, independent of the einsum implementation."""
+    """Direct summation by loops, independent of the GEMM lowering."""
     batch, in_ch, length = x.shape
     out_ch, _, kernel = w.shape
     out_len = (length + 2 * padding - kernel) // stride + 1
@@ -24,6 +25,33 @@ def conv1d_oracle(x, w, b, stride, padding):
                             acc += w[o, c, m] * x[bi, c, src]
                 y[bi, o, i] = acc
     return y
+
+
+def conv1d_backward_oracle(x, w, gy, stride, padding):
+    """Adjoint of conv1d_oracle by direct loops: (grad w, grad b, grad x)."""
+    batch, in_ch, length = x.shape
+    out_ch, _, kernel = w.shape
+    gw, gx = np.zeros(w.shape), np.zeros(x.shape)
+    for bi in range(batch):
+        for o in range(out_ch):
+            for i in range(gy.shape[2]):
+                for c in range(in_ch):
+                    for m in range(kernel):
+                        src = i * stride + m - padding
+                        if 0 <= src < length:
+                            gw[o, c, m] += gy[bi, o, i] * x[bi, c, src]
+                            gx[bi, c, src] += gy[bi, o, i] * w[o, c, m]
+    return gw, gy.sum(axis=(0, 2)), gx
+
+
+def maxpool_argmax_reference(x, window, stride, out_len):
+    """Values and first-maximum taps by -inf right-pad + argmax over each window."""
+    pad = (out_len - 1) * stride + window - x.shape[2]
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
+    win = sliding_window_view(x, window, axis=2)[:, :, ::stride][:, :, :out_len]
+    arg = win.argmax(axis=3)
+    return np.take_along_axis(win, arg[..., None], axis=3)[..., 0], arg
 
 
 def maxpool_oracle(x, window, stride):
@@ -76,6 +104,26 @@ class TestConv1d:
             conv1d_oracle(x, layer.params["w"], layer.params["b"], stride, padding),
             atol=1e-10,
         )
+
+    # (batch, in_ch, length, out_ch, kernel, stride, padding): stride > kernel
+    # (k1/s2 as in res_proj, k2/s3), k7/p3 as in the residual block, C=1
+    @pytest.mark.parametrize("shape", [
+        (3, 1, 12, 4, 3, 2, 1), (2, 3, 9, 2, 1, 2, 0), (2, 2, 11, 3, 2, 3, 0),
+        (2, 3, 12, 2, 7, 2, 3), (2, 2, 6, 3, 7, 1, 3), (1, 1, 5, 1, 5, 1, 0),
+        (2, 2, 10, 2, 2, 3, 1),
+    ])
+    def test_backward_against_adjoint_oracle(self, shape):
+        batch, in_ch, length, out_ch, kernel, stride, padding = shape
+        rng = np.random.default_rng(sum(shape))
+        layer = make_conv(in_ch, out_ch, kernel, stride, padding, seed=len(shape))
+        x = rng.standard_normal((batch, in_ch, length))
+        gy = rng.standard_normal(layer.forward(x).shape)
+        gx = layer.backward(gy)
+        gw, gb, gx_want = conv1d_backward_oracle(x, layer.params["w"], gy, stride, padding)
+        assert gx.shape == x.shape
+        assert np.abs(gx - gx_want).max() < 1e-10
+        assert np.abs(layer.grads["w"] - gw).max() < 1e-10
+        assert np.abs(layer.grads["b"] - gb).max() < 1e-10
 
     def test_shape_mismatch(self):
         layer = make_conv(2, 1, 3, 1, 0)
@@ -196,6 +244,21 @@ class TestMaxPool:
                         for b, c in np.ndindex(2, 2):
                             want[b, c, first[b, c]] += gy[b, c, i]
                     assert np.allclose(layer.backward(gy), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ceil_mode", [False, True])
+    def test_forward_and_arg_match_argmax_rule(self, ceil_mode):
+        # ties everywhere (values 0..2, some -inf) and -inf padded ceil-mode tails
+        rng = np.random.default_rng(12)
+        for window in range(1, 6):
+            for stride in range(1, 4):
+                for n in range(window, 15):
+                    layer = nn.MaxPool1d(window, stride, ceil_mode=ceil_mode)
+                    x = rng.integers(0, 3, (3, 2, n)).astype(np.float64)
+                    x[rng.random(x.shape) < 0.2] = -np.inf
+                    y = layer.forward(x)
+                    want_y, want_arg = maxpool_argmax_reference(x, window, stride, y.shape[2])
+                    assert np.array_equal(y, want_y)
+                    assert np.array_equal(layer._arg, want_arg)
 
     def test_out_length_below_window_is_zero(self):
         assert nn.MaxPool1d(3, 2, ceil_mode=True).out_length(2) == 0
@@ -360,6 +423,49 @@ class TestAdam:
         opt = nn.Adam()
         with pytest.raises(NumericError):
             opt.step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])})
+        # with several tensors the error names the one that is not finite
+        params = {"a.w": np.zeros(3), "b.w": np.zeros(2), "c.w": np.zeros(1)}
+        grads = {"a.w": np.ones(3), "b.w": np.array([0.0, np.inf]), "c.w": np.ones(1)}
+        with pytest.raises(NumericError, match="gradient of b.w"):
+            nn.Adam().step(params, grads)
+
+    @staticmethod
+    def _per_tensor_adam(params, grad_seq, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+        """Reference: the Adam update applied tensor by tensor."""
+        m = {k: np.zeros_like(p, dtype=np.float64) for k, p in params.items()}
+        v = {k: np.zeros_like(p, dtype=np.float64) for k, p in params.items()}
+        for t, grads in enumerate(grad_seq, start=1):
+            for k, p in params.items():
+                g = grads[k]
+                m[k] *= beta1
+                m[k] += (1 - beta1) * g
+                v[k] *= beta2
+                v[k] += (1 - beta2) * np.square(g, dtype=np.float64)
+                mhat = m[k] / (1 - beta1 ** t)
+                vhat = v[k] / (1 - beta2 ** t)
+                p -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype)
+
+    @pytest.mark.parametrize("dtypes", [
+        (np.float64, np.float64, np.float64), (np.float32, np.float64, np.float32),
+    ])
+    def test_flat_step_bit_equal_to_per_tensor(self, dtypes):
+        rng = np.random.default_rng(13)
+        shapes = [(4, 3, 2), (4,), (5, 7)]
+        # parameters small next to the steps and gradients over six decades,
+        # so a last-bit change in the update shows in the parameters
+        init = {f"t{i}": (1e-4 * rng.standard_normal(shape)).astype(dt)
+                for i, (shape, dt) in enumerate(zip(shapes, dtypes))}
+        grad_seq = [{k: rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-3, 3, p.shape)
+                     for k, p in init.items()} for _ in range(20)]
+        flat = {k: p.copy() for k, p in init.items()}
+        opt = nn.Adam(lr=0.01)
+        for grads in grad_seq:
+            opt.step(flat, grads)
+        ref = {k: p.copy() for k, p in init.items()}
+        self._per_tensor_adam(ref, grad_seq)
+        for k in init:
+            assert flat[k].dtype == init[k].dtype
+            assert flat[k].tobytes() == ref[k].tobytes(), k
 
     def test_sgd_descends(self):
         p = {"w": np.zeros(1)}

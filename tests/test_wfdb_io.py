@@ -1,8 +1,11 @@
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecgres import cli
 from ecgres import wfdb_io as wf
 from ecgres.errors import ParseError, RangeError, SelectionError, TruncatedSignal, UnsupportedFormat
 
@@ -197,6 +200,36 @@ class TestLoadRecord:
         expected = (raw1.astype(np.float64) - spec.adc_zero) / spec.gain
         assert np.array_equal(rec.channels[0], expected)
         assert len(rec.channels[0]) == rec.header.num_samples
+
+    @staticmethod
+    def _renamed_record(src, dst, dat_names):
+        """Record 100 in `dst`, its signal lines naming `dat_names`, its data in other.dat."""
+        shutil.copy(src / "100.atr", dst / "100.atr")
+        shutil.copy(src / "100.dat", dst / "other.dat")
+        lines = (src / "100.hea").read_text().splitlines()
+        for i, dat in enumerate(dat_names, start=1):
+            lines[i] = lines[i].replace("100.dat", dat, 1)
+        (dst / "100.hea").write_text("\n".join(lines) + "\n")
+
+    def test_reads_file_named_in_header(self, synth_db_small, tmp_path):
+        self._renamed_record(synth_db_small, tmp_path, ["other.dat", "other.dat"])
+        rec = wf.load_record(tmp_path, "100")
+        ref = wf.load_record(synth_db_small, "100")
+        for got, want in zip(rec.channels, ref.channels):
+            assert np.array_equal(got, want)
+
+    def test_two_signal_files_rejected(self, synth_db_small, tmp_path):
+        self._renamed_record(synth_db_small, tmp_path, ["other.dat", "100.dat"])
+        shutil.copy(synth_db_small / "100.dat", tmp_path / "100.dat")
+        with pytest.raises(ParseError, match="one file"):
+            wf.load_record(tmp_path, "100")
+
+    def test_missing_named_file_ingest_exit_2(self, synth_db_small, tmp_path):
+        # 100.dat is present but the header names a file that is not
+        self._renamed_record(synth_db_small, tmp_path, ["gone.dat", "gone.dat"])
+        shutil.copy(synth_db_small / "100.dat", tmp_path / "100.dat")
+        argv = ["ingest", "--data-dir", str(tmp_path), "--output-dir", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
 
 
 class TestSelectDataset:
