@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from . import denoise as dn
 from . import metrics as me
 from . import model as md
@@ -106,7 +107,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
         }
         for ref in index
     ]
-    (out_dir / "beat_index.json").write_text(json.dumps(index_doc) + "\n")
+    atomic.write_bytes(out_dir / "beat_index.json", (json.dumps(index_doc) + "\n").encode())
     print(f"wrote {out_dir / 'beat_index.json'}")
     return 0
 
@@ -165,7 +166,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     out_dir = Path(cfg.output_dir)
     md.save_checkpoint(model, out_dir / "checkpoint.ecgm")
-    (out_dir / "curves.csv").write_text(log.to_csv())
+    atomic.write_bytes(out_dir / "curves.csv", log.to_csv().encode())
 
     x_test, y_test = sg.segments_to_arrays(split.test)
     pred, _ = md.predict_batch(model, x_test)

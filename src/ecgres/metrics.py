@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .errors import InputError, IoError
 from .wfdb_io import BeatClass
 
@@ -117,11 +118,12 @@ def emit_report(report: MetricsReport, cm: np.ndarray, out_dir) -> list[Path]:
         lines = ["true\\pred," + ",".join(CLASS_NAMES)]
         for name, row in zip(CLASS_NAMES, np.asarray(cm)):
             lines.append(name + "," + ",".join(str(int(v)) for v in row))
-        p.write_text("\n".join(lines) + "\n")
+        atomic.write_bytes(p, ("\n".join(lines) + "\n").encode())
         files.append(p)
 
         p = out_dir / "metrics.json"
-        p.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        atomic.write_bytes(p, text.encode())
         files.append(p)
         return files
     except OSError as e:

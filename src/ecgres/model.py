@@ -20,10 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import atomic, nn
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .segment import DatasetSplit, segments_to_arrays
 from .wfdb_io import BeatClass
+
+# Inference runs in chunks of at least this many rows: the activations of a
+# chunk stay small enough to be reused rather than mapped fresh, and OpenBLAS
+# switches fc2's (rows x 64)·(64 x 5) product to a kernel with different
+# rounding below ~255 rows, so a short trailing chunk would change logits.
+# np.array_split spreads the remainder over the chunks instead.
+PREDICT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,8 @@ class Model:
     def grads(self) -> dict[str, np.ndarray]:
         return self._tensors("grads")
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """Logits; `cache=False` keeps nothing for `backward`."""
         if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_length:
             raise ShapeError(
                 f"expected (batch, 1, {self.config.input_length}), got {x.shape}"
@@ -151,7 +159,7 @@ class Model:
         nn.check_finite(x, "model input")
         h = x.astype(np.float64, copy=False)
         for layer in self.layers:
-            h = layer.forward(h)
+            h = layer.forward(h, cache=cache)
         return h
 
     def backward(self, grad_logits: np.ndarray) -> None:
@@ -164,18 +172,16 @@ def build_model(config: ModelConfig = ModelConfig()) -> Model:
     return Model(config)
 
 
-def evaluate_accuracy(model: Model, x: np.ndarray, labels: np.ndarray,
-                      batch_size: int = 256) -> float:
-    correct = 0
-    for i in range(0, len(x), batch_size):
-        logits = model.forward(x[i : i + batch_size])
-        correct += int((logits.argmax(axis=1) == labels[i : i + batch_size]).sum())
-    return correct / len(x)
+def evaluate_accuracy(model: Model, x: np.ndarray, labels: np.ndarray) -> float:
+    pred, _ = predict_batch(model, x)
+    return int((pred == labels).sum()) / len(x)
 
 
 def predict_batch(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted class ids, per-class probabilities)."""
-    logits = model.forward(x)
+    """(predicted class ids, per-class probabilities), from a forward
+    without backward caches over chunks of at least PREDICT_ROWS rows."""
+    chunks = np.array_split(x, max(1, len(x) // PREDICT_ROWS))
+    logits = np.concatenate([model.forward(c, cache=False) for c in chunks])
     probs = nn.softmax(logits)
     return probs.argmax(axis=1), probs
 
@@ -270,8 +276,7 @@ def save_checkpoint(model: Model, path) -> None:
         for d in arr.shape:
             buf.write(struct.pack("<I", d))
         buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    atomic.write_bytes(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> Model:

@@ -2,10 +2,13 @@
 
 Parameters are stored as float32; layers compute in the dtype of their
 input, which the model makes float64. Activations are C-contiguous arrays
-shaped (batch, channels, length), or (batch, features) after `Flatten`. Each
-layer caches what its backward pass needs; parameter gradients land in the
-layer's `grads` dict. No autodiff graph: a model is an ordered layer list,
-run forward in order and backward in reverse.
+shaped (batch, channels, length), or (batch, features) after `Flatten`. Caching
+is per call: `forward(x)` keeps what the next `backward` needs, while
+`forward(x, cache=False)` computes the same output, keeps nothing and drops
+what an earlier call kept, so inference holds no activations beyond the one
+in flight. Parameter gradients land in the layer's `grads` dict. No autodiff
+graph: a model is an ordered layer list, run forward in order and backward
+in reverse.
 
 `Conv1d` is lowered to matrix products (im2col): its forward copies the
 padded input windows into a (batch*length, channels*kernel) matrix and
@@ -38,7 +41,7 @@ class Layer:
         """Length of the output's last axis for an input of length n."""
         return n
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
@@ -65,7 +68,7 @@ class Conv1d(Layer):
     def out_length(self, n):
         return (n + 2 * self.padding - self.kernel) // self.stride + 1
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"conv1d expects (batch, {self.in_channels}, length), got {x.shape}"
@@ -74,16 +77,19 @@ class Conv1d(Layer):
             raise ShapeError(
                 f"input length {x.shape[2]} + 2*{self.padding} pad < kernel {self.kernel}"
             )
-        xp = np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding)))
+        p = self.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
         win = sliding_window_view(xp, self.kernel, axis=2)[:, :, :: self.stride]
         b_, c, lo, k = win.shape
         # im2col: one copy of the windows, rows (batch, position), columns (channel, tap)
-        self._cols = win.transpose(0, 2, 1, 3).reshape(b_ * lo, c * k)
+        cols = win.transpose(0, 2, 1, 3).reshape(b_ * lo, c * k)
+        self._cols = cols if cache else None
         self._x_shape = x.shape
-        # compute in the activation dtype; float64 activations keep the
-        # contraction batch-size independent (64-bit accumulation)
+        # compute in the activation dtype (float64 in the model); the BLAS
+        # may still pick its kernel by row count, which is why inference
+        # splits batches into chunks of at least model.PREDICT_ROWS rows
         w = self.params["w"].astype(x.dtype, copy=False)
-        y = self._cols @ w.reshape(len(w), -1).T
+        y = cols @ w.reshape(len(w), -1).T
         y += self.params["b"].astype(x.dtype, copy=False)
         return np.ascontiguousarray(y.reshape(b_, lo, -1).transpose(0, 2, 1))
 
@@ -106,8 +112,8 @@ class Conv1d(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x):
-        self._mask = x > 0
+    def forward(self, x, cache=True):
+        self._mask = x > 0 if cache else None
         return np.maximum(x, 0)
 
     def backward(self, gy):
@@ -133,7 +139,7 @@ class MaxPool1d(Layer):
         full = (n - self.window) // self.stride + 1
         return full + bool(self.ceil_mode and full * self.stride < n)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         if x.ndim != 3:
             raise ShapeError(f"maxpool1d expects rank-3 input, got {x.shape}")
         n, lo = x.shape[2], self.out_length(x.shape[2])
@@ -143,13 +149,17 @@ class MaxPool1d(Layer):
         pad = (lo - 1) * self.stride + self.window - n
         if pad > 0:
             x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
-        # running max over the window taps; strict > keeps ties on the first tap
+        # running max over the window taps; strict > keeps ties on the first
+        # tap, whose index is tracked only for a backward to come
         span = lo * self.stride
         y = x[:, :, 0:span:self.stride].copy()
-        arg = np.zeros(y.shape, dtype=np.min_scalar_type(self.window - 1))
+        arg = None
+        if cache:
+            arg = np.zeros(y.shape, dtype=np.min_scalar_type(self.window - 1))
         for k in range(1, self.window):
             v = x[:, :, k : k + span : self.stride]
-            np.putmask(arg, v > y, k)
+            if cache:
+                np.putmask(arg, v > y, k)
             np.maximum(y, v, out=y)
         self._arg = arg
         self._shape, self._n = x.shape, n
@@ -166,7 +176,7 @@ class MaxPool1d(Layer):
 class Flatten(Layer):
     """(batch, channels, length) -> (batch, channels * length)."""
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -187,11 +197,11 @@ class Residual(Layer):
             n = layer.out_length(n)
         return n
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         h = x
         for layer in self.main:
-            h = layer.forward(h)
-        return residual_add(h, self.shortcut.forward(x))
+            h = layer.forward(h, cache=cache)
+        return residual_add(h, self.shortcut.forward(x, cache=cache))
 
     def backward(self, gy):
         g = gy
@@ -213,12 +223,12 @@ class Dense(Layer):
         ).astype(np.float32)
         self.params["b"] = np.zeros(out_features, dtype=np.float32)
 
-    def forward(self, x):
+    def forward(self, x, cache=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
                 f"dense expects (batch, {self.in_features}), got {x.shape}"
             )
-        self._x = x
+        self._x = x if cache else None
         w = self.params["w"].astype(x.dtype, copy=False)
         b = self.params["b"].astype(x.dtype, copy=False)
         return x @ w.T + b

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from . import denoise as dn
 from .errors import BoundarySkip, ParseError, ShapeError, SizeError
 from .wfdb_io import BeatClass, BeatRef
@@ -191,19 +192,19 @@ def save_segments(segments: list[BeatSegment], path: str | Path) -> None:
         buf.write(rid)
         buf.write(struct.pack("<IB", seg.annotation_index, int(seg.label)))
         buf.write(np.asarray(seg.samples, dtype="<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    atomic.write_bytes(path, buf.getvalue())
 
 
 def load_segments(path: str | Path) -> list[BeatSegment]:
     data = Path(path).read_bytes()
     if data[:4] != DATASET_MAGIC:
         raise ParseError(f"{path}: not a dataset file (bad magic)")
-    version, count = struct.unpack_from("<HI", data, 4)
-    if version != DATASET_VERSION:
-        raise ParseError(f"{path}: unsupported dataset version {version}")
-    pos = 10
     out = []
     try:
+        version, count = struct.unpack_from("<HI", data, 4)
+        if version != DATASET_VERSION:
+            raise ParseError(f"{path}: unsupported dataset version {version}")
+        pos = 10
         for _ in range(count):
             (rid_len,) = struct.unpack_from("<H", data, pos)
             pos += 2
@@ -223,5 +224,7 @@ def load_segments(path: str | Path) -> list[BeatSegment]:
 
 def segments_to_arrays(segments: list[BeatSegment]) -> tuple[np.ndarray, np.ndarray]:
     """(batch, 1, 180) float32 inputs and int label vector for the network."""
+    if not segments:
+        raise SizeError("no beats to stack: the dataset is empty")
     x = np.stack([np.asarray(s.samples, dtype=np.float32) for s in segments])
     return x[:, None, :], np.array([int(s.label) for s in segments], dtype=np.int64)

@@ -147,6 +147,21 @@ class TestEvaluate:
                   "--dataset", trained / "test.ecgb", "--output-dir", blocker])
         assert rc == 3
 
+    def test_short_dataset_header_exit_2(self, trained, tmp_path):
+        short = tmp_path / "short.ecgb"
+        short.write_bytes(b"ECGB")
+        rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
+                  "--dataset", short, "--output-dir", tmp_path / "out"])
+        assert rc == 2
+
+    def test_zero_beat_dataset_exit_3(self, trained, tmp_path):
+        empty = tmp_path / "empty.ecgb"
+        sg.save_segments([], empty)
+        rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
+                  "--dataset", empty, "--output-dir", tmp_path / "out"])
+        assert rc == 3
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_metrics(self, trained, tmp_path):
         outs = []
         for name in ("m1", "m2"):

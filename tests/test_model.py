@@ -60,9 +60,9 @@ class TestBuildModel:
         # forward input; perfbench counts conv MACs from that shape
         seen = {}
         for name, layer in small_model._named.items():
-            def fwd(x, name=name, f=layer.forward):
+            def fwd(x, *args, name=name, f=layer.forward, **kwargs):
                 seen[name] = [x.shape]
-                return f(x)
+                return f(x, *args, **kwargs)
 
             def bwd(g, name=name, b=layer.backward):
                 gx = b(g)
@@ -204,6 +204,19 @@ class TestTrain:
         assert digest.hexdigest() == (
             "4358f7d30a95d88d17e3f379a09e12f54a44c188dfd984484a61eed1aef78552")
 
+    def test_predict_between_epochs_keeps_pinned_parameters(self):
+        # eval_each_epoch runs a cache-free predict_batch after every epoch;
+        # the next epoch's cached forwards must leave training unchanged
+        split = self._toy_split(40)
+        split.test = self._toy_split(300).train
+        m = md.build_model(md.ModelConfig(seed=0))
+        log = md.train(m, split, md.TrainConfig(epochs=3, shuffle_seed=0,
+                                                eval_each_epoch=True))
+        assert all(e.test_accuracy is not None for e in log.epochs)
+        digest = hashlib.sha256(b"".join(p.tobytes() for p in m.params().values()))
+        assert digest.hexdigest() == (
+            "4358f7d30a95d88d17e3f379a09e12f54a44c188dfd984484a61eed1aef78552")
+
     def test_overfits_small_subset(self, synth_segments):
         # capacity check: 50 beats to 100% train accuracy within 200 epochs
         rng = np.random.default_rng(0)
@@ -212,6 +225,43 @@ class TestTrain:
         m = md.build_model(md.ModelConfig(seed=0))
         log = md.train(m, split, md.TrainConfig(epochs=200, shuffle_seed=0))
         assert max(e.train_accuracy for e in log.epochs) == 1.0
+
+
+class TestPredictBatch:
+    @pytest.fixture(scope="class")
+    def beats(self):
+        return np.random.default_rng(0).standard_normal((4100, 1, 180)).astype(np.float32)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 300, 513, 4100])
+    def test_logits_bit_equal_to_one_cached_forward(self, beats, n, monkeypatch):
+        # chunks of >= PREDICT_ROWS rows keep every GEMM on the kernels a
+        # single whole-batch forward uses; a short tail chunk would not
+        m = md.build_model(md.ModelConfig(seed=0))
+        x = beats[:n]
+        want = m.forward(x)
+        seen = []
+        softmax = nn.softmax
+        monkeypatch.setattr(nn, "softmax", lambda z: seen.append(z) or softmax(z))
+        pred, probs = md.predict_batch(m, x)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        assert np.array_equal(probs, softmax(want))
+        assert np.array_equal(pred, want.argmax(axis=1))
+
+    def test_keeps_no_backward_state(self, beats, small_model):
+        small_model.forward(beats[:4])  # a cached forward, as training leaves it
+        small_model.backward(np.ones((4, 5)))
+        md.predict_batch(small_model, beats[:300])
+        for name, layer in small_model._named.items():
+            for attr in ("_cols", "_mask", "_arg", "_x"):
+                assert getattr(layer, attr, None) is None, (name, attr)
+
+    def test_evaluate_accuracy_is_share_of_predictions(self, beats, small_model):
+        x = beats[:300]
+        pred, _ = md.predict_batch(small_model, x)
+        labels = np.arange(300) % 5
+        assert md.evaluate_accuracy(small_model, x, labels) == (
+            int((pred == labels).sum()) / 300)
+        assert md.evaluate_accuracy(small_model, x, pred) == 1.0
 
 
 class TestPredict:

@@ -397,6 +397,53 @@ class TestFlattenResidual:
         assert rel_error(gx, fd) < 1e-4
 
 
+class TestNoCacheForward:
+    """`forward(x, cache=False)` is the same forward, minus the backward state."""
+
+    CACHES = ("_cols", "_mask", "_arg", "_x")
+
+    @staticmethod
+    def layers():
+        return {
+            "conv": (make_conv(3, 4, 3, 2, 1), (5, 3, 23)),
+            "conv_k7": (make_conv(3, 4, 7, 1, 3, seed=4), (5, 3, 12)),
+            "relu": (nn.ReLU(), (5, 3, 23)),
+            "pool": (nn.MaxPool1d(2, 2, ceil_mode=True), (5, 3, 23)),
+            "pool_3_1": (nn.MaxPool1d(3, 1, ceil_mode=True), (5, 3, 23)),
+            "flatten": (nn.Flatten(), (5, 3, 4)),
+            "residual": (nn.Residual([make_conv(3, 4, 3, 2, 1, seed=1), nn.ReLU(),
+                                      make_conv(4, 4, 3, 1, 1, seed=2)],
+                                     make_conv(3, 4, 1, 2, 0, seed=3)), (5, 3, 23)),
+            "dense": (nn.Dense(12, 5, rng=np.random.default_rng(0)), (5, 12)),
+        }
+
+    @pytest.mark.parametrize("name", ["conv", "conv_k7", "relu", "pool", "pool_3_1",
+                                      "flatten", "residual", "dense"])
+    def test_output_identical_and_nothing_kept(self, name):
+        layer, shape = self.layers()[name]
+        x = np.random.default_rng(1).standard_normal(shape)
+        x[..., ::4] = 0.0  # ReLU boundary and pool ties
+        cached = layer.forward(x)
+        uncached = layer.forward(x, cache=False)
+        assert uncached.dtype == cached.dtype
+        assert np.array_equal(uncached, cached)
+        parts = layer.main + [layer.shortcut] if name == "residual" else [layer]
+        for part in parts:
+            for attr in self.CACHES:
+                assert getattr(part, attr, None) is None, (name, attr)
+
+    @pytest.mark.parametrize("name", ["conv", "pool", "residual", "dense"])
+    def test_cached_forward_after_uncached_still_backpropagates(self, name):
+        layer, shape = self.layers()[name]
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(shape)
+        layer.forward(rng.standard_normal(shape), cache=False)
+        gy = rng.standard_normal(layer.forward(x).shape)
+        gx = layer.backward(gy)
+        fd = fd_gradient(lambda v: float(np.sum(layer.forward(v) * gy)), x, h=1e-6)
+        assert rel_error(gx, fd) < 1e-4
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         p = {"w": np.ones(3, dtype=np.float32)}

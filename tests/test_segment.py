@@ -173,6 +173,19 @@ class TestDatasetFile:
         with pytest.raises(ParseError):
             sg.load_segments(p)
 
+    @pytest.mark.parametrize("cut", [4, 5, 9])
+    def test_short_header(self, tmp_path, cut):
+        p = tmp_path / "s.ecgb"
+        sg.save_segments([make_segment()], p)
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(ParseError, match="truncated"):
+            sg.load_segments(p)
+
+    def test_zero_beats_roundtrip(self, tmp_path):
+        p = tmp_path / "z.ecgb"
+        sg.save_segments([], p)
+        assert sg.load_segments(p) == []
+
 
 class TestArrays:
     def test_shapes_and_dtype(self):
@@ -180,3 +193,7 @@ class TestArrays:
         x, y = sg.segments_to_arrays(segs)
         assert x.shape == (6, 1, 180) and x.dtype == np.float32
         assert y.tolist() == [0, 1, 2, 3, 4, 0]
+
+    def test_empty_raises_size_error(self):
+        with pytest.raises(SizeError, match="empty"):
+            sg.segments_to_arrays([])
