@@ -21,6 +21,7 @@ from . import model as md
 from . import segment as sg
 from . import wfdb_io as wf
 from .errors import (
+    BoundarySkip,
     CheckpointError,
     EcgresError,
     NumericError,
@@ -148,7 +149,11 @@ def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
             raise SizeError(f"dataset file {p} not found; run preprocess first")
     rng = np.random.default_rng(cfg.seed)
     train = _limit(sg.load_segments(train_path), cfg.limit, rng)
-    return sg.DatasetSplit(train, _limit(sg.load_segments(test_path), cfg.limit, rng), cfg.seed)
+    test = _limit(sg.load_segments(test_path), cfg.limit, rng)
+    for p, segs in ((train_path, train), (test_path, test)):
+        if not segs:
+            raise SizeError(f"dataset file {p} holds no beats to use")
+    return sg.DatasetSplit(train, test, cfg.seed)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -208,13 +213,16 @@ def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: 
             f"(record {record} has {len(index)} eligible beats)"
         )
     ref = index[annotation_index]
-    channel = dn.denoise(
-        rec.channels[ref.channel],
-        levels=cfg.levels,
-        window=cfg.window,
+    segments, _ = sg.segment_record_beats(
+        [ref], levels=cfg.levels, window=cfg.window,
         policy=dn.ThresholdPolicy(mode=cfg.threshold_mode),
     )
-    cls, probs = md.predict(model, sg.segment_beat(channel, ref.annotation.sample_index))
+    if not segments:
+        raise BoundarySkip(
+            f"beat {annotation_index} of record {record} (sample "
+            f"{ref.annotation.sample_index}) is within {sg.HALF_WINDOW} samples of an end"
+        )
+    cls, probs = md.predict(model, segments[0].samples)
     print(f"record {record}, beat {annotation_index} "
           f"(sample {ref.annotation.sample_index}, annotated {ref.annotation.code})")
     print(f"predicted: {cls.name}")

@@ -40,7 +40,7 @@ class ParameterError(EcgresError):
 # --- segmentation / datasets ---
 
 class BoundarySkip(EcgresError):
-    """Beat window crosses the record boundary; the beat is dropped."""
+    """A beat's window crosses the record boundary, so it cannot be cut."""
 
 
 class SizeError(EcgresError):

@@ -186,10 +186,10 @@ def predict_batch(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs.argmax(axis=1), probs
 
 
-def predict(model: Model, segment) -> tuple[BeatClass, np.ndarray]:
-    samples = np.asarray(segment.samples if hasattr(segment, "samples") else segment,
-                         dtype=np.float32)
-    pred, probs = predict_batch(model, samples[None, None, :])
+def predict(model: Model, samples: np.ndarray) -> tuple[BeatClass, np.ndarray]:
+    """Class and probabilities of one beat's 180 samples."""
+    x = np.asarray(samples, dtype=np.float32)[None, None, :]
+    pred, probs = predict_batch(model, x)
     return BeatClass(int(pred[0])), probs[0]
 
 

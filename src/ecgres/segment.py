@@ -1,8 +1,9 @@
 """Beat segmentation, rescaling, train/test splitting, and dataset files.
 
-Each annotated beat becomes a 200-sample window centered on the R-peak
-annotation (100 before / 100 after), center-cropped to 180 samples and
-rescaled per segment to [-1, 1].
+`cut_beats` cuts all annotated beats of a record in one array operation. A
+beat whose 200-sample window around the R peak (100 before / 100 after)
+leaves the record is dropped; every other beat keeps the central 180
+samples of that window, rescaled per segment to [-1, 1].
 """
 from __future__ import annotations
 
@@ -15,13 +16,12 @@ import numpy as np
 
 from . import atomic
 from . import denoise as dn
-from .errors import BoundarySkip, ParseError, ShapeError, SizeError
+from .errors import ParseError, SizeError
 from .wfdb_io import BeatClass, BeatRef
 
 WINDOW_SAMPLES = 200
 SEGMENT_SAMPLES = 180
 HALF_WINDOW = WINDOW_SAMPLES // 2
-CROP = (WINDOW_SAMPLES - SEGMENT_SAMPLES) // 2
 
 DATASET_MAGIC = b"ECGB"
 DATASET_VERSION = 1
@@ -46,41 +46,28 @@ class DatasetSplit:
     seed: int
 
 
-def extract_window(channel: np.ndarray, center: int) -> np.ndarray:
-    """200-sample window around an annotated R peak; beats at the record
-    boundary raise BoundarySkip and are dropped by the caller."""
-    lo, hi = center - HALF_WINDOW, center + HALF_WINDOW
-    if lo < 0 or hi > len(channel):
-        raise BoundarySkip(
-            f"window [{lo}, {hi}) outside record of {len(channel)} samples"
-        )
-    return channel[lo:hi]
+def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
+    """The network inputs for the beats annotated at `centers`.
 
-
-def reduce_dimension(window: np.ndarray) -> np.ndarray:
-    """Symmetric center crop 200 -> 180 samples."""
-    if len(window) != WINDOW_SAMPLES:
-        raise ShapeError(f"expected {WINDOW_SAMPLES} samples, got {len(window)}")
-    return window[CROP : WINDOW_SAMPLES - CROP]
-
-
-def rescale(segment: np.ndarray) -> np.ndarray:
-    """Affine map onto [-1, 1]; constant segments map to zeros."""
-    seg = np.asarray(segment, dtype=np.float64)
-    lo, hi = seg.min(), seg.max()
-    if hi == lo:
-        return np.zeros_like(seg)
-    return 2.0 * (seg - lo) / (hi - lo) - 1.0
-
-
-def segment_beat(channel: np.ndarray, center: int) -> np.ndarray:
-    """The network input for one beat: window, crop, rescale, float32."""
-    return rescale(reduce_dimension(extract_window(channel, center))).astype(np.float32)
+    A beat is kept when its 200-sample window around the R peak lies inside
+    the record. Each kept beat becomes samples center-90 .. center+89,
+    mapped affinely onto [-1, 1] per row in float64 (constant rows become
+    zeros), then cast to float32. Returns ((kept, 180) float32 samples,
+    boolean kept mask over `centers`).
+    """
+    centers = np.asarray(centers, dtype=np.int64)
+    kept = (centers >= HALF_WINDOW) & (centers + HALF_WINDOW <= len(channel))
+    offsets = np.arange(-SEGMENT_SAMPLES // 2, SEGMENT_SAMPLES // 2)
+    seg = np.asarray(channel, dtype=np.float64)[centers[kept, None] + offsets]
+    lo, hi = seg.min(axis=1, keepdims=True), seg.max(axis=1, keepdims=True)
+    flat = hi == lo
+    out = 2.0 * (seg - lo) / np.where(flat, 1.0, hi - lo) - 1.0
+    out[flat[:, 0]] = 0.0
+    return out.astype(np.float32), kept
 
 
 def segment_record_beats(
     refs: list[BeatRef],
-    denoise_signal: bool = True,
     levels: int = dn.DEFAULT_LEVELS,
     window: int = dn.DEFAULT_BASELINE_WINDOW,
     policy: dn.ThresholdPolicy = dn.ThresholdPolicy(),
@@ -97,18 +84,13 @@ def segment_record_beats(
     skips = 0
     for name in sorted(by_record):
         group = by_record[name]
-        channel = group[0].record.channels[group[0].channel]
-        if denoise_signal:
-            channel = dn.denoise(channel, levels=levels, window=window, policy=policy)
-        for ref in group:
-            try:
-                seg = segment_beat(channel, ref.annotation.sample_index)
-            except BoundarySkip:
-                skips += 1
-                continue
-            segments.append(
-                BeatSegment(seg, ref.label, name, ref.annotation.sample_index)
-            )
+        channel = dn.denoise(group[0].record.channels[group[0].channel],
+                             levels=levels, window=window, policy=policy)
+        samples, kept = cut_beats(channel, [r.annotation.sample_index for r in group])
+        kept_refs = [r for r, k in zip(group, kept) if k]
+        skips += len(group) - len(kept_refs)
+        segments += [BeatSegment(row, r.label, name, r.annotation.sample_index)
+                     for row, r in zip(samples, kept_refs)]
     return segments, skips
 
 
@@ -217,8 +199,8 @@ def load_segments(path: str | Path) -> list[BeatSegment]:
             out.append(BeatSegment(samples.copy(), BeatClass(label), rid, ann_idx))
     except (struct.error, ValueError) as e:
         raise ParseError(f"{path}: truncated or corrupt dataset file") from e
-    if len(out) != count:
-        raise ParseError(f"{path}: expected {count} segments, read {len(out)}")
+    if pos != len(data):
+        raise ParseError(f"{path}: {len(data) - pos} bytes after the last of {count} segments")
     return out
 
 

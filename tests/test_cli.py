@@ -10,6 +10,8 @@ import pytest
 from ecgres import cli
 from ecgres import segment as sg
 
+from test_segment import write_edge_record
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -122,6 +124,16 @@ class TestTrain:
                   "--epochs", 1])
         assert rc == 3
 
+    @pytest.mark.parametrize("empty", ["train.ecgb", "test.ecgb"])
+    def test_zero_beat_set_exit_3_before_training(self, preprocessed, tmp_path, empty):
+        for name in ("train.ecgb", "test.ecgb"):
+            shutil.copy(preprocessed / name, tmp_path / name)
+        sg.save_segments([], tmp_path / empty)
+        rc = run(["train", "--output-dir", tmp_path, "--epochs", 1, "--limit", 200])
+        assert rc == 3
+        assert not (tmp_path / "checkpoint.ecgm").exists()
+        assert not (tmp_path / "curves.csv").exists()
+
 
 class TestEvaluate:
     def test_matches_training_report(self, trained, tmp_path, capsys):
@@ -162,6 +174,14 @@ class TestEvaluate:
         assert rc == 3
         assert not (tmp_path / "out").exists()
 
+    def test_trailing_bytes_exit_2(self, trained, tmp_path):
+        padded = tmp_path / "padded.ecgb"
+        padded.write_bytes((trained / "test.ecgb").read_bytes() + b"garbage")
+        rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
+                  "--dataset", padded, "--output-dir", tmp_path / "out"])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_deterministic_metrics(self, trained, tmp_path):
         outs = []
         for name in ("m1", "m2"):
@@ -185,6 +205,15 @@ class TestPredict:
                  if ln.strip().split()[0] in ("NOR", "LBBB", "RBBB", "APC", "PVC")]
         assert len(probs) == 5
         assert sum(probs) == pytest.approx(1.0, abs=1e-3)
+
+    def test_beat_at_record_edge_exit_3(self, trained, tmp_path, capsys):
+        write_edge_record(tmp_path)
+        argv = ["predict", "--checkpoint", trained / "checkpoint.ecgm",
+                "--data-dir", tmp_path, "--record", "100", "--annotation-index"]
+        assert run(argv + [0]) == 3
+        assert "within 100 samples" in capsys.readouterr().err
+        assert run(argv + [1]) == 0
+        assert run(argv + [2]) == 3
 
     def test_index_out_of_range_exit_2(self, trained, synth_db_small):
         rc = run(["predict", "--checkpoint", trained / "checkpoint.ecgm",

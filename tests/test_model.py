@@ -267,7 +267,7 @@ class TestPredictBatch:
 class TestPredict:
     def test_probabilities_valid(self, small_model):
         seg = make_segment(seed=3)
-        cls, probs = md.predict(small_model, seg)
+        cls, probs = md.predict(small_model, seg.samples)
         assert isinstance(cls, BeatClass)
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 

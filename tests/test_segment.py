@@ -1,76 +1,150 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecgres import segment as sg
-from ecgres.errors import BoundarySkip, ParseError, ShapeError, SizeError
+from ecgres import synthetic
+from ecgres import wfdb_io as wf
+from ecgres.errors import ParseError, SizeError
 from ecgres.wfdb_io import BeatClass
+
+
+def rescale(segment):
+    """Reference affine map onto [-1, 1]; constant segments map to zeros."""
+    seg = np.asarray(segment, dtype=np.float64)
+    lo, hi = seg.min(), seg.max()
+    if hi == lo:
+        return np.zeros_like(seg)
+    return 2.0 * (seg - lo) / (hi - lo) - 1.0
+
+
+def oracle_beat(channel, center):
+    """Reference per-beat cut: the 200-sample window around `center`, its
+    central 180 samples, rescaled, float32; None when the window leaves the
+    record."""
+    lo, hi = center - 100, center + 100
+    if lo < 0 or hi > len(channel):
+        return None
+    return rescale(channel[lo:hi][10:190]).astype(np.float32)
 
 
 def make_segment(label=BeatClass.NOR, record_id="100", ann=0, seed=0):
     rng = np.random.default_rng(seed)
-    samples = sg.rescale(rng.standard_normal(180)).astype(np.float32)
+    samples = rescale(rng.standard_normal(180)).astype(np.float32)
     return sg.BeatSegment(samples, label, record_id, ann)
 
 
+def write_edge_record(data_dir, name="100", num_samples=3600):
+    """A one-record WFDB database whose first and last of three N beats lie
+    50 samples from the record's ends."""
+    centers = [50, num_samples // 2, num_samples - 50]
+    rng = np.random.default_rng(0)
+    adc = [np.round(200 * synthetic.synth_channel("NNN", centers, num_samples, rng)
+                    ).astype(np.int16) + 1024 for _ in range(2)]
+    data_dir.mkdir(parents=True, exist_ok=True)
+    (data_dir / f"{name}.dat").write_bytes(wf.encode_format212(*adc))
+    (data_dir / f"{name}.hea").write_text(
+        f"{name} 2 360 {num_samples}\n"
+        f"{name}.dat 212 200 11 1024 0 0 0 MLII\n"
+        f"{name}.dat 212 200 11 1024 0 0 0 V5\n")
+    (data_dir / f"{name}.atr").write_bytes(
+        wf.encode_annotations([wf.BeatAnnotation(c, "N") for c in centers]))
+    return centers
+
+
+def cut_one(channel, center):
+    samples, kept = sg.cut_beats(channel, [center])
+    assert samples.shape == (int(kept[0]), 180) and samples.dtype == np.float32
+    return samples[0] if kept[0] else None
+
+
+# The window, crop and rescale rules of `cut_beats`, one class each.
+
 class TestExtractWindow:
     def test_ramp(self):
-        channel = np.arange(1000.0)
-        win = sg.extract_window(channel, 100)
-        assert np.array_equal(win, np.arange(0.0, 200.0))
+        # a quadratic ramp: the rescaled cut shows which samples it took
+        channel = np.arange(1000.0) ** 2
+        assert np.array_equal(cut_one(channel, 100),
+                              rescale(channel[10:190]).astype(np.float32))
 
     def test_boundary_skip_start(self):
-        with pytest.raises(BoundarySkip):
-            sg.extract_window(np.zeros(1000), 50)
+        assert cut_one(np.arange(1000.0), 50) is None
+        assert cut_one(np.arange(1000.0), 99) is None
+        assert cut_one(np.arange(1000.0), 100) is not None
 
     def test_boundary_skip_end(self):
-        with pytest.raises(BoundarySkip):
-            sg.extract_window(np.zeros(1000), 950)
+        assert cut_one(np.arange(1000.0), 950) is None
+        assert cut_one(np.arange(1000.0), 901) is None
+        assert cut_one(np.arange(1000.0), 900) is not None
 
     def test_peak_centered(self, synth_index):
-        # R annotations sit at the beat peak; check the window max lands
+        # R annotations sit at the beat peak; check the segment max lands
         # within a few samples of center for a clean tall beat
         ref = next(r for r in synth_index if r.annotation.code == "N"
                    and r.annotation.sample_index > 200)
         channel = ref.record.channels[ref.channel]
-        win = sg.extract_window(channel, ref.annotation.sample_index)
-        assert abs(int(np.argmax(win)) - 100) <= 5
+        out = cut_one(channel, ref.annotation.sample_index)
+        assert abs(int(np.argmax(out)) - 90) <= 5
 
 
 class TestReduceDimension:
     def test_ramp_crop(self):
-        out = sg.reduce_dimension(np.arange(200.0))
-        assert np.array_equal(out, np.arange(10.0, 190.0))
+        channel = np.arange(1000.0) ** 2
+        assert np.array_equal(cut_one(channel, 500),
+                              rescale(channel[410:590]).astype(np.float32))
 
     def test_constant(self):
-        out = sg.reduce_dimension(np.full(200, 7.0))
-        assert out.shape == (180,) and np.all(out == 7.0)
+        out = cut_one(np.full(1000, 7.0), 500)
+        assert out.shape == (180,) and np.all(out == 0.0)
 
     def test_boundary_identity(self):
-        win = np.random.default_rng(0).standard_normal(200)
-        out = sg.reduce_dimension(win)
-        assert out[0] == win[10] and out[179] == win[189]
-
-    def test_wrong_length(self):
-        with pytest.raises(ShapeError):
-            sg.reduce_dimension(np.zeros(180))
+        # the crop's first and last samples are the extremes; the window's
+        # outer samples 9 and 190, beyond them, are not part of the segment
+        win = np.random.default_rng(0).uniform(0.0, 1.0, 200)
+        win[[9, 10, 189, 190]] = [-10.0, -5.0, 5.0, 10.0]
+        out = cut_one(win, 100)
+        assert out[0] == -1.0 and out[179] == 1.0
+        assert np.array_equal(out, rescale(win[10:190]).astype(np.float32))
 
 
 class TestRescale:
     def test_affine_endpoints(self):
-        assert np.allclose(sg.rescale(np.array([0.0, 5.0, 10.0])), [-1.0, 0.0, 1.0])
+        channel = np.zeros(400)
+        channel[110:290] = 5.0
+        channel[[110, 289]] = [0.0, 10.0]
+        out = cut_one(channel, 200)
+        assert out[0] == -1.0 and out[179] == 1.0 and np.all(out[1:179] == 0.0)
 
     def test_constant_maps_to_zero(self):
-        assert np.all(sg.rescale(np.full(180, 3.3)) == 0.0)
+        out = cut_one(np.full(400, 3.3), 200)
+        assert np.all(out == 0.0) and not np.signbit(out).any()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_range_attained(self, seed):
-        x = np.random.default_rng(seed).standard_normal(180)
-        out = sg.rescale(x)
-        assert out.min() == pytest.approx(-1.0, abs=1e-12)
-        assert out.max() == pytest.approx(1.0, abs=1e-12)
+        channel = np.random.default_rng(seed).standard_normal(600)
+        samples, kept = sg.cut_beats(channel, [100, 250, 400, 500])
+        assert kept.all()
+        assert samples.min(axis=1) == pytest.approx(-1.0, abs=1e-12)
+        assert samples.max(axis=1) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCutBeats:
+    @pytest.mark.parametrize("num_centers", [0, 1, 3000])
+    def test_bit_equal_to_oracle(self, num_centers):
+        rng = np.random.default_rng(num_centers)
+        channel = rng.standard_normal(20000).cumsum()
+        channel[5000:5400] = 3.25  # constant rows
+        centers = rng.integers(-50, 20050, num_centers)
+        if num_centers > 1:
+            centers[:7] = [99, 100, 101, 19899, 19900, 19901, 5200]
+        samples, kept = sg.cut_beats(channel, centers)
+        want = [oracle_beat(channel, int(c)) for c in centers]
+        assert kept.tolist() == [w is not None for w in want]
+        want = np.array([w for w in want if w is not None], dtype=np.float32).reshape(-1, 180)
+        assert samples.shape == want.shape and samples.dtype == np.float32
+        assert samples.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
 
 class TestSegmentRecords:
@@ -89,6 +163,14 @@ class TestSegmentRecords:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.samples, sb.samples)
             assert sa.key == sb.key
+
+    def test_boundary_beats_skipped(self, tmp_path):
+        centers = write_edge_record(tmp_path)
+        refs = wf.select_dataset([wf.load_record(tmp_path, "100")])
+        assert [r.annotation.sample_index for r in refs] == centers
+        segments, skips = sg.segment_record_beats(refs)
+        assert skips == 2
+        assert [s.key for s in segments] == [("100", centers[1])]
 
 
 class TestBuildSplit:
@@ -185,6 +267,65 @@ class TestDatasetFile:
         p = tmp_path / "z.ecgb"
         sg.save_segments([], p)
         assert sg.load_segments(p) == []
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_trailing_bytes(self, tmp_path, n):
+        p = tmp_path / "g.ecgb"
+        sg.save_segments([make_segment(ann=i, seed=i) for i in range(n)], p)
+        p.write_bytes(p.read_bytes() + b"garbage")
+        with pytest.raises(ParseError, match="7 bytes after"):
+            sg.load_segments(p)
+
+
+def _load_bytes(tmp_path, data):
+    p = tmp_path / "fuzz.ecgb"
+    p.write_bytes(data)
+    return sg.load_segments(p)
+
+
+def _valid_file_bytes(tmp_path):
+    p = tmp_path / "valid.ecgb"
+    segs = [make_segment(label=BeatClass(i), record_id="1" * i, ann=i, seed=i)
+            for i in range(3)]
+    sg.save_segments(segs, p)
+    return p.read_bytes()
+
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestLoadSegmentsFuzz:
+    """Whatever the bytes, `load_segments` returns beats or raises ParseError."""
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=1500),
+                     st.binary(max_size=1500).map(lambda b: sg.DATASET_MAGIC + b)))
+    def test_arbitrary_bytes(self, tmp_path, data):
+        try:
+            _load_bytes(tmp_path, data)
+        except ParseError:
+            pass
+
+    @FUZZ
+    @given(st.data())
+    def test_truncations(self, tmp_path, data):
+        valid = _valid_file_bytes(tmp_path)
+        cut = data.draw(st.integers(0, len(valid) - 1))
+        with pytest.raises(ParseError):
+            _load_bytes(tmp_path, valid[:cut])
+
+    @FUZZ
+    @given(st.data())
+    def test_single_byte_mutations(self, tmp_path, data):
+        valid = bytearray(_valid_file_bytes(tmp_path))
+        pos = data.draw(st.integers(0, len(valid) - 1))
+        valid[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != valid[pos]))
+        try:
+            loaded = _load_bytes(tmp_path, bytes(valid))
+        except ParseError:
+            return
+        assert all(isinstance(b, sg.BeatSegment) for b in loaded)
 
 
 class TestArrays:
