@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -59,12 +60,22 @@ class RunConfig:
     def load(cls, args) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            text = Path(args.config).read_text()
-            known = {f.name for f in fields(cls)}
-            data = json.loads(text)
-            unknown = set(data) - known
+            try:
+                data = json.loads(Path(args.config).read_text())
+            except ValueError as e:
+                raise ParseError(f"{args.config}: not valid JSON ({e})") from e
+            if not isinstance(data, dict):
+                raise ParseError(f"{args.config}: expected a JSON object of RunConfig fields")
+            hints = typing.get_type_hints(cls)
+            unknown = set(data) - set(hints)
             if unknown:
                 raise ParseError(f"unknown config keys: {sorted(unknown)}")
+            for key, val in data.items():
+                allowed = typing.get_args(hints[key]) or (hints[key],)
+                if float in allowed:
+                    allowed += (int,)
+                if type(val) not in allowed:
+                    raise ParseError(f"config key {key!r}: {val!r} has the wrong type")
             cfg = replace(cfg, **data)
         env_dir = os.environ.get(DATA_DIR_ENV)
         if env_dir:
@@ -73,6 +84,11 @@ class RunConfig:
             val = getattr(args, f.name, None)
             if val is not None:
                 cfg = replace(cfg, **{f.name: val})
+        for name, low in (("seed", 0), ("epochs", 1), ("batch_size", 1),
+                          ("per_set_size", 1), ("limit", 1)):
+            val = getattr(cfg, name)
+            if val is not None and val < low:
+                raise ParseError(f"{name} must be at least {low}, got {val}")
         return cfg
 
 
@@ -242,14 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", dest="output_dir")
         p.add_argument("--seed", type=int)
 
+    def add_denoise(p):
+        p.add_argument("--levels", type=int, help="wavelet decomposition levels")
+        p.add_argument("--window", type=int, help="baseline moving-average window (odd)")
+        p.add_argument("--threshold-mode", dest="threshold_mode", choices=["soft", "hard"])
+
     p = sub.add_parser("ingest", help="parse records and build the beat index")
     add_common(p)
 
     p = sub.add_parser("preprocess", help="denoise, segment, and split the dataset")
     add_common(p)
-    p.add_argument("--levels", type=int, help="wavelet decomposition levels")
-    p.add_argument("--window", type=int, help="baseline moving-average window (odd)")
-    p.add_argument("--threshold-mode", dest="threshold_mode", choices=["soft", "hard"])
+    add_denoise(p)
     p.add_argument("--per-set-size", dest="per_set_size", type=int)
 
     p = sub.add_parser("train", help="train the CNN on a preprocessed dataset")
@@ -269,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify one annotated beat from a record")
     add_common(p)
+    add_denoise(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--record", required=True)
     p.add_argument("--annotation-index", dest="annotation_index", type=int, required=True)

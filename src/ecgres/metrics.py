@@ -3,7 +3,7 @@ specificity), each computed per class one-vs-rest plus macro averages."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +35,6 @@ class MetricsReport:
     macro_specificity: float
     macro_accuracy: float
     undefined_classes: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "overall_accuracy": self.overall_accuracy,
-            "macro_sensitivity": self.macro_sensitivity,
-            "macro_specificity": self.macro_specificity,
-            "macro_accuracy": self.macro_accuracy,
-            "undefined_classes": self.undefined_classes,
-            "per_class": {
-                name: {
-                    "tp": m.tp, "tn": m.tn, "fp": m.fp, "fn": m.fn,
-                    "accuracy": m.accuracy,
-                    "sensitivity": m.sensitivity,
-                    "specificity": m.specificity,
-                }
-                for name, m in self.per_class.items()
-            },
-        }
 
 
 def confusion(true_labels, predicted_labels) -> np.ndarray:
@@ -122,7 +104,7 @@ def emit_report(report: MetricsReport, cm: np.ndarray, out_dir) -> list[Path]:
         files.append(p)
 
         p = out_dir / "metrics.json"
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
         atomic.write_bytes(p, text.encode())
         files.append(p)
         return files

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class ModelConfig:
     fc_hidden: int = 64
     num_classes: int = 5
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -265,7 +262,7 @@ def save_checkpoint(model: Model, path) -> None:
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    cfg = "".join(f"{k}={v}\n" for k, v in model.config.to_dict().items()).encode()
+    cfg = "".join(f"{k}={v}\n" for k, v in asdict(model.config).items()).encode()
     buf.write(struct.pack("<I", len(cfg)))
     buf.write(cfg)
     for name, arr in model.params().items():

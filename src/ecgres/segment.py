@@ -99,65 +99,44 @@ def build_split(
 ) -> DatasetSplit:
     """Stratified 50/50 split; optional proportional down-sampling per set.
 
-    Shuffling and sampling use a seeded generator, so identical inputs and
-    seed give identical splits. Beats are never duplicated.
+    Each class, in `BeatClass` order, is shuffled by one seeded permutation
+    and its first ceil(n/2) beats go to train. With `per_set_size`, each set
+    takes floor(per_set_size * class share) beats per class, capped by the
+    class's half, then tops up one beat per class in turn, largest remainder
+    first, until the set is full. Beats are never duplicated.
     """
     if not segments:
         raise SizeError("empty beat index")
     rng = np.random.default_rng(seed)
-
-    by_class: dict[int, list[BeatSegment]] = {int(c): [] for c in BeatClass}
-    for seg in segments:
-        by_class[int(seg.label)].append(seg)
-
-    train_pool: dict[int, list[BeatSegment]] = {}
-    test_pool: dict[int, list[BeatSegment]] = {}
-    for cls in sorted(by_class):
-        group = by_class[cls]
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
-        half = (len(group) + 1) // 2
-        train_pool[cls] = shuffled[:half]
-        test_pool[cls] = shuffled[half:]
-
-    if per_set_size is None:
-        train = [s for cls in sorted(train_pool) for s in train_pool[cls]]
-        test = [s for cls in sorted(test_pool) for s in test_pool[cls]]
-        return DatasetSplit(train, test, seed)
-
-    total = len(segments)
-    if per_set_size > min(sum(len(v) for v in train_pool.values()),
-                          sum(len(v) for v in test_pool.values())):
+    labels = np.array([int(s.label) for s in segments])
+    halves = []
+    for cls in range(len(BeatClass)):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(len(idx))]
+        halves.append(np.split(idx, [(len(idx) + 1) // 2]))
+    train, test = zip(*halves)
+    if per_set_size is not None and per_set_size > min(sum(map(len, train)),
+                                                       sum(map(len, test))):
         raise SizeError(
             f"per_set_size {per_set_size} exceeds available beats per set "
             f"({len(segments)} total)"
         )
 
-    # proportional allocation with largest remainders, capped by availability
-    def allocate(pool: dict[int, list[BeatSegment]]) -> list[BeatSegment]:
-        classes = sorted(c for c in by_class if by_class[c])
-        exact = {c: per_set_size * len(by_class[c]) / total for c in classes}
-        counts = {c: min(int(exact[c]), len(pool[c])) for c in classes}
-        remainders = sorted(
-            classes, key=lambda c: exact[c] - int(exact[c]), reverse=True
-        )
-        deficit = per_set_size - sum(counts.values())
-        while deficit > 0:
-            progressed = False
-            for c in remainders:
-                if deficit == 0:
-                    break
-                if counts[c] < len(pool[c]):
-                    counts[c] += 1
-                    deficit -= 1
-                    progressed = True
-            if not progressed:
-                raise SizeError(
-                    f"cannot reach per_set_size {per_set_size} with available class counts"
-                )
-        return [s for c in classes for s in pool[c][: counts[c]]]
+    def take(pool) -> list[BeatSegment]:
+        n = cap = np.array([len(h) for h in pool])
+        if per_set_size is not None:
+            exact = per_set_size * np.bincount(labels, minlength=len(cap)) / len(segments)
+            floor = exact.astype(np.int64)
+            n = np.minimum(floor, cap)
+            order = np.argsort(floor - exact, kind="stable")  # largest remainder first
+            # each pass gives one more beat to every class with room left; the
+            # pre-check above guarantees some class has room while deficit > 0
+            while (deficit := per_set_size - n.sum()) > 0:
+                room = order[n[order] < cap[order]]
+                n[room[:deficit]] += 1
+        return [segments[i] for i in np.concatenate([h[:k] for h, k in zip(pool, n)])]
 
-    return DatasetSplit(allocate(train_pool), allocate(test_pool), seed)
+    return DatasetSplit(take(train), take(test), seed)
 
 
 # --- dataset container: magic "ECGB", version u16, count u32, then per beat:

@@ -221,6 +221,84 @@ class TestPredict:
                   "--annotation-index", 10**6])
         assert rc == 2
 
+    def test_denoise_flags_match_config(self, trained, synth_db_small, tmp_path, capsys):
+        argv = ["predict", "--checkpoint", trained / "checkpoint.ecgm",
+                "--data-dir", synth_db_small, "--record", "100", "--annotation-index", 3]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"levels": 6, "window": 151, "threshold_mode": "hard"}))
+        assert run(argv + ["--config", cfg]) == 0
+        want = capsys.readouterr().out
+        assert run(argv + ["--levels", 6, "--window", 151, "--threshold-mode", "hard"]) == 0
+        assert capsys.readouterr().out == want
+        assert run(argv + ["--levels", 6]) == 0
+
+
+class TestRunConfig:
+    """A malformed run config exits 2 before any file is written."""
+
+    @pytest.fixture
+    def work(self, preprocessed, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        for name in ("train.ecgb", "test.ecgb"):
+            shutil.copy(preprocessed / name, work / name)
+        return work
+
+    def train(self, work, argv=(), config=None):
+        """Exit code of a one-epoch `train` in `work`, and the files left there."""
+        if config is not None:
+            path = work.parent / "run.json"
+            path.write_text(config)
+            argv = [*argv, "--config", path]
+        rc = run(["train", "--output-dir", work, "--limit", 50, *argv])
+        return rc, sorted(p.name for p in work.iterdir())
+
+    def test_invalid_json_exit_2(self, work):
+        assert self.train(work, config="{") == (2, ["test.ecgb", "train.ecgb"])
+
+    @pytest.mark.parametrize("text", ["null", "[]", "3"])
+    def test_not_an_object_exit_2(self, work, text):
+        assert self.train(work, config=text) == (2, ["test.ecgb", "train.ecgb"])
+
+    @pytest.mark.parametrize("entry", [
+        {"epochs": "2"}, {"epochs": True}, {"epochs": 1.0}, {"limit": [50]},
+        {"learning_rate": "0.1"}, {"eval_each_epoch": 1}, {"seed": None},
+    ])
+    def test_wrong_type_exit_2(self, work, entry):
+        config = json.dumps({"epochs": 1, **entry})
+        assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
+
+    def test_integer_learning_rate_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"learning_rate": 1, "per_set_size": None}))
+        cfg = cli.RunConfig.load(cli.build_parser().parse_args(["train", "--config", str(path)]))
+        assert cfg.learning_rate == 1 and cfg.per_set_size is None
+
+    @pytest.mark.parametrize("argv", [
+        ["--epochs", 0], ["--batch-size", 0], ["--epochs", 1, "--batch-size", -1],
+        ["--epochs", 1, "--limit", -1], ["--epochs", 1, "--limit", 0],
+        ["--epochs", 1, "--seed", -1],
+    ])
+    def test_count_below_one_exit_2(self, work, argv):
+        assert self.train(work, argv) == (2, ["test.ecgb", "train.ecgb"])
+
+    def test_count_below_one_in_config_exit_2(self, work):
+        assert self.train(work, config='{"epochs": 0}') == (2, ["test.ecgb", "train.ecgb"])
+
+    @pytest.mark.parametrize("size", [-5, 0])
+    def test_per_set_size_below_one_exit_2(self, synth_db_small, tmp_path, size):
+        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
+                  "--per-set-size", size])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_limit_below_one_exit_2(self, trained, tmp_path):
+        rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
+                  "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out",
+                  "--limit", -1])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
 
 def test_full_protocol_script_flags_parse():
     """Every `ecgres ...` line of the protocol script is valid CLI input."""

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,6 +53,66 @@ def write_edge_record(data_dir, name="100", num_samples=3600):
     (data_dir / f"{name}.atr").write_bytes(
         wf.encode_annotations([wf.BeatAnnotation(c, "N") for c in centers]))
     return centers
+
+
+def oracle_split(segments, seed, per_set_size=None):
+    """Reference split: the list-pool allocator that `build_split` replaced.
+    Returns the (train keys, test keys) lists."""
+    if not segments:
+        raise SizeError("empty beat index")
+    rng = np.random.default_rng(seed)
+
+    by_class = {int(c): [] for c in BeatClass}
+    for seg in segments:
+        by_class[int(seg.label)].append(seg)
+
+    train_pool, test_pool = {}, {}
+    for cls in sorted(by_class):
+        group = by_class[cls]
+        order = rng.permutation(len(group))
+        shuffled = [group[i] for i in order]
+        half = (len(group) + 1) // 2
+        train_pool[cls] = shuffled[:half]
+        test_pool[cls] = shuffled[half:]
+
+    if per_set_size is None:
+        return ([s.key for cls in sorted(train_pool) for s in train_pool[cls]],
+                [s.key for cls in sorted(test_pool) for s in test_pool[cls]])
+
+    total = len(segments)
+    if per_set_size > min(sum(len(v) for v in train_pool.values()),
+                          sum(len(v) for v in test_pool.values())):
+        raise SizeError(
+            f"per_set_size {per_set_size} exceeds available beats per set "
+            f"({len(segments)} total)"
+        )
+
+    def allocate(pool):
+        classes = sorted(c for c in by_class if by_class[c])
+        exact = {c: per_set_size * len(by_class[c]) / total for c in classes}
+        counts = {c: min(int(exact[c]), len(pool[c])) for c in classes}
+        remainders = sorted(classes, key=lambda c: exact[c] - int(exact[c]), reverse=True)
+        deficit = per_set_size - sum(counts.values())
+        while deficit > 0:
+            progressed = False
+            for c in remainders:
+                if deficit == 0:
+                    break
+                if counts[c] < len(pool[c]):
+                    counts[c] += 1
+                    deficit -= 1
+                    progressed = True
+            if not progressed:
+                raise SizeError(
+                    f"cannot reach per_set_size {per_set_size} with available class counts"
+                )
+        return [s.key for c in classes for s in pool[c][: counts[c]]]
+
+    return allocate(train_pool), allocate(test_pool)
+
+
+def split_keys(split):
+    return [s.key for s in split.train], [s.key for s in split.test]
 
 
 def cut_one(channel, center):
@@ -221,6 +283,33 @@ class TestBuildSplit:
     def test_empty_index(self):
         with pytest.raises(SizeError):
             sg.build_split([], seed=0)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_oracle(self, data):
+        n = data.draw(st.integers(1, 400))
+        classes = data.draw(st.lists(st.sampled_from(list(BeatClass)), min_size=1,
+                                     max_size=5, unique=True))
+        labels = data.draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        half = (n + 1) // 2
+        size = data.draw(st.one_of(st.none(), st.integers(0, n),
+                                   st.sampled_from([1, 2, 3, n // 4, n // 2, half])))
+        segs = [sg.BeatSegment(np.zeros(0, np.float32), c, f"r{i % 3}", i)
+                for i, c in enumerate(labels)]
+        outcomes = []
+        for split in (oracle_split, lambda *a: split_keys(sg.build_split(*a))):
+            try:
+                outcomes.append(split(segs, seed, size))
+            except SizeError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    def test_pinned_keys(self, synth_segments):
+        # digest of the split's key lists, taken from the list-pool allocator
+        keys = repr(split_keys(sg.build_split(synth_segments, seed=0, per_set_size=1000)))
+        assert hashlib.sha256(keys.encode()).hexdigest() == (
+            "a9f3136bb938c6d95792a98f55477441c2d64e48ab399986e802a8f6772af076")
 
 
 class TestDatasetFile:
