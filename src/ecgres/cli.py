@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -26,6 +27,7 @@ from .errors import (
     CheckpointError,
     EcgresError,
     NumericError,
+    ParameterError,
     ParseError,
     SelectionError,
     ShapeError,
@@ -89,6 +91,8 @@ class RunConfig:
             val = getattr(cfg, name)
             if val is not None and val < low:
                 raise ParseError(f"{name} must be at least {low}, got {val}")
+        if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+            raise ParseError(f"learning_rate must be a finite number > 0, got {cfg.learning_rate}")
         return cfg
 
 
@@ -316,7 +320,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, SelectionError, OSError) as e:
+    except (ParseError, ParameterError, SelectionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except EcgresError as e:

@@ -1,15 +1,17 @@
 """ECG denoising: 8-level db4 wavelet thresholding + moving-average baseline removal.
 
 The wavelet transform is the orthogonal Daubechies-4 (8-tap) filter bank with
-periodized boundaries. Odd-length stages are handled pywt-style: the last
-sample is repeated to make the stage even, and the inverse truncates back, so
-perfect reconstruction holds for every length; exact energy conservation
-additionally requires each stage length to be even.
+periodized boundaries, run in polyphase form: tap m touches phase m % 2 of the
+stage (every other sample), circularly shifted by m // 2. Odd-length stages
+are handled pywt-style: the last sample is repeated to make the stage even,
+and the inverse truncates back, so perfect reconstruction holds for every
+length; exact energy conservation additionally requires each stage length to
+be even.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,14 +39,9 @@ DEFAULT_BASELINE_WINDOW = 251  # ~0.70 s at 360 Hz
 class WaveletDecomposition:
     approx: np.ndarray
     details: list[np.ndarray]  # index 0 = level 1 (finest)
-    original_length: int
     # length of the signal fed into each analysis stage (needed to undo
-    # odd-length extension on inversion)
-    stage_lengths: list[int] = field(default_factory=list)
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
+    # odd-length extension on inversion); stage_lengths[0] is the input length
+    stage_lengths: list[int]
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,12 @@ class ThresholdPolicy:
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(x)
-    if n % 2:
+    if len(x) % 2:
         x = np.concatenate([x, x[-1:]])
-        n += 1
-    k = np.arange(n // 2)
-    a = np.zeros(n // 2)
-    d = np.zeros(n // 2)
+    a = np.zeros(len(x) // 2)
+    d = np.zeros(len(x) // 2)
     for m in range(8):
-        xm = x[(2 * k + m) % n]
+        xm = np.roll(x[m % 2 :: 2], -(m // 2))
         a += DB4_H[m] * xm
         d += DB4_G[m] * xm
     return a, d
@@ -74,11 +68,9 @@ def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _synthesis_step(a: np.ndarray, d: np.ndarray, out_length: int) -> np.ndarray:
     if len(a) != len(d):
         raise ShapeError(f"approx/detail length mismatch: {len(a)} vs {len(d)}")
-    n = 2 * len(a)
-    k = np.arange(len(a))
-    x = np.zeros(n)
+    x = np.zeros(2 * len(a))
     for m in range(8):
-        x[(2 * k + m) % n] += DB4_H[m] * a + DB4_G[m] * d
+        x[m % 2 :: 2] += np.roll(DB4_H[m] * a + DB4_G[m] * d, m // 2)
     return x[:out_length]
 
 
@@ -92,7 +84,7 @@ def dwt_forward(signal, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
     if len(x) < 2 ** levels:
         raise LengthError(
             f"signal of length {len(x)} too short for {levels} levels "
-            f"(need >= {2 ** levels})"
+            f"(at most {len(x).bit_length() - 1} levels fit)"
         )
     details = []
     stage_lengths = []
@@ -100,7 +92,7 @@ def dwt_forward(signal, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
         stage_lengths.append(len(x))
         x, d = _analysis_step(x)
         details.append(d)
-    return WaveletDecomposition(x, details, stage_lengths[0], stage_lengths)
+    return WaveletDecomposition(x, details, stage_lengths)
 
 
 def dwt_inverse(decomp: WaveletDecomposition) -> np.ndarray:
@@ -114,7 +106,7 @@ def dwt_inverse(decomp: WaveletDecomposition) -> np.ndarray:
 def universal_threshold(decomp: WaveletDecomposition) -> float:
     """T = sigma * sqrt(2 ln N), sigma = MAD(level-1 details) / 0.6745."""
     sigma = np.median(np.abs(decomp.details[0])) / 0.6745
-    return float(sigma * math.sqrt(2.0 * math.log(decomp.original_length)))
+    return float(sigma * math.sqrt(2.0 * math.log(decomp.stage_lengths[0])))
 
 
 def apply_threshold(coeffs: np.ndarray, threshold: float, mode: str) -> np.ndarray:
@@ -129,9 +121,7 @@ def threshold_details(
     """Shrink all detail levels by the universal threshold; approx untouched."""
     t = universal_threshold(decomp)
     details = [apply_threshold(d, t, policy.mode) for d in decomp.details]
-    return WaveletDecomposition(
-        decomp.approx.copy(), details, decomp.original_length, list(decomp.stage_lengths)
-    )
+    return replace(decomp, details=details)
 
 
 def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray:

@@ -59,10 +59,6 @@ class BeatClass(IntEnum):
     APC = 3
     PVC = 4
 
-    @property
-    def code(self) -> str:
-        return _CLASS_TO_CODE[self]
-
 
 BEAT_CODE_TO_CLASS = {
     "N": BeatClass.NOR,
@@ -71,7 +67,6 @@ BEAT_CODE_TO_CLASS = {
     "A": BeatClass.APC,
     "V": BeatClass.PVC,
 }
-_CLASS_TO_CODE = {v: k for k, v in BEAT_CODE_TO_CLASS.items()}
 
 
 @dataclass(frozen=True)

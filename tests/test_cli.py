@@ -109,6 +109,29 @@ class TestPreprocess:
         assert run(["preprocess", "--config", cfg]) == 0
         assert (tmp_path / "out" / "train.ecgb").exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--levels", 0], None),
+        (["--window", 2], None),
+        ([], {"threshold_mode": "fuzzy"}),
+    ])
+    def test_bad_denoise_setting_exit_2(self, synth_db_small, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", path]
+        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
+                  *argv])
+        assert rc == 2
+        assert not list(tmp_path.rglob("*.ecgb"))
+
+    def test_too_many_levels_exit_3_names_usable_count(self, synth_db_small, tmp_path, capsys):
+        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
+                  "--levels", 40])
+        assert rc == 3
+        # each record is 120 s at 360 Hz = 43,200 samples, and 2**15 <= 43,200 < 2**16
+        assert "at most 15 levels fit" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ecgb"))
+
 
 class TestTrain:
     def test_artifacts_and_loss_decrease(self, trained):
@@ -232,6 +255,12 @@ class TestPredict:
         assert capsys.readouterr().out == want
         assert run(argv + ["--levels", 6]) == 0
 
+    def test_zero_levels_exit_2(self, trained, synth_db_small):
+        rc = run(["predict", "--checkpoint", trained / "checkpoint.ecgm",
+                  "--data-dir", synth_db_small, "--record", "100",
+                  "--annotation-index", 0, "--levels", 0])
+        assert rc == 2
+
 
 class TestRunConfig:
     """A malformed run config exits 2 before any file is written."""
@@ -284,6 +313,14 @@ class TestRunConfig:
 
     def test_count_below_one_in_config_exit_2(self, work):
         assert self.train(work, config='{"epochs": 0}') == (2, ["test.ecgb", "train.ecgb"])
+
+    @pytest.mark.parametrize("lr", ["0", "-1", "inf", "nan"])
+    def test_bad_learning_rate_exit_2(self, work, lr):
+        assert self.train(work, ["--epochs", 1, f"--lr={lr}"]) == (2, ["test.ecgb", "train.ecgb"])
+
+    def test_zero_learning_rate_in_config_exit_2(self, work):
+        config = '{"epochs": 1, "learning_rate": 0}'
+        assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
 
     @pytest.mark.parametrize("size", [-5, 0])
     def test_per_set_size_below_one_exit_2(self, synth_db_small, tmp_path, size):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgres import denoise as dn
-from ecgres.errors import LengthError, ParameterError
+from ecgres.errors import LengthError, ParameterError, ShapeError
 
 
 def dwt_step_oracle(x):
@@ -17,6 +18,52 @@ def dwt_step_oracle(x):
     a = [sum(dn.DB4_H[m] * x[(2 * k + m) % n] for m in range(8)) for k in range(n // 2)]
     d = [sum(dn.DB4_G[m] * x[(2 * k + m) % n] for m in range(8)) for k in range(n // 2)]
     return np.array(a), np.array(d)
+
+
+def analysis_step_oracle(x):
+    """The modulo-index gather form of one analysis stage, kept as the
+    bit-exact reference for the polyphase `_analysis_step`."""
+    n = len(x)
+    if n % 2:
+        x = np.concatenate([x, x[-1:]])
+        n += 1
+    k = np.arange(n // 2)
+    a = np.zeros(n // 2)
+    d = np.zeros(n // 2)
+    for m in range(8):
+        xm = x[(2 * k + m) % n]
+        a += dn.DB4_H[m] * xm
+        d += dn.DB4_G[m] * xm
+    return a, d
+
+
+def synthesis_step_oracle(a, d, out_length):
+    """The modulo-index scatter form of one synthesis stage, kept as the
+    bit-exact reference for the polyphase `_synthesis_step`."""
+    n = 2 * len(a)
+    k = np.arange(len(a))
+    x = np.zeros(n)
+    for m in range(8):
+        x[(2 * k + m) % n] += dn.DB4_H[m] * a + dn.DB4_G[m] * d
+    return x[:out_length]
+
+
+def assert_steps_match_oracles(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    for got, want in zip(dn._analysis_step(x), analysis_step_oracle(x)):
+        assert got.tobytes() == want.tobytes()
+    half = -(-n // 2)
+    a, d = rng.standard_normal(half), rng.standard_normal(half)
+    got = dn._synthesis_step(a, d, n)
+    assert got.tobytes() == synthesis_step_oracle(a, d, n).tobytes()
+
+
+DENOISE_SIGNAL_SEED = 8
+DENOISE_SHA256 = {
+    "default": "e36383d2f9b676ca2dd0b4d50e53a052f3baae46d43482404a5d23b3a259c255",
+    "levels5_window51_hard": "f1ca0e73400873b25a572a8375ffd4e76f798cfc45d18daa741d05ea6c089ccc",
+}
 
 
 class TestFilters:
@@ -57,7 +104,7 @@ class TestForward:
         length = n
         for k, d in enumerate(decomp.details, start=1):
             assert len(d) == -(-n // 2**k) == math.ceil(n / 2**k)
-        assert decomp.original_length == n
+        assert decomp.stage_lengths[0] == n
 
     def test_impulse_roundtrip(self):
         x = np.zeros(512)
@@ -81,6 +128,23 @@ class TestForward:
                 float(np.sum(c**2)) for c in [decomp.approx, *decomp.details]
             )
             assert coeff_energy == pytest.approx(float(np.sum(x**2)), rel=1e-6)
+
+
+class TestPolyphaseSteps:
+    """The polyphase steps reproduce the modulo-index filter bank bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 257, 1001, 81225])
+    def test_bit_equal_to_oracle(self, n):
+        assert_steps_match_oracles(n, n)
+
+    @given(st.integers(1, 5000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_oracle_property(self, n, seed):
+        assert_steps_match_oracles(n, seed)
+
+    def test_synthesis_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            dn._synthesis_step(np.zeros(4), np.zeros(5), 8)
 
 
 class TestThreshold:
@@ -227,3 +291,13 @@ class TestDenoise:
     def test_short_signal_rejected(self):
         with pytest.raises(LengthError):
             dn.denoise(np.zeros(100))
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("default", {}),
+        ("levels5_window51_hard",
+         {"levels": 5, "window": 51, "policy": dn.ThresholdPolicy(mode="hard")}),
+    ])
+    def test_pinned_digest(self, name, kwargs):
+        x = np.random.default_rng(DENOISE_SIGNAL_SEED).standard_normal(20001)
+        out = dn.denoise(x, **kwargs)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == DENOISE_SHA256[name]
