@@ -131,7 +131,7 @@ def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray
     if window <= 0 or window % 2 == 0:
         raise ParameterError(f"window must be a positive odd integer, got {window}")
     if window > n:
-        raise ParameterError(f"window {window} exceeds signal length {n}")
+        raise LengthError(f"baseline window {window} exceeds the record's {n} samples")
     half = window // 2
     idx = np.arange(n)
     h = np.minimum(half, np.minimum(idx, n - 1 - idx))

@@ -10,16 +10,16 @@ in flight. Parameter gradients land in the layer's `grads` dict. No autodiff
 graph: a model is an ordered layer list, run forward in order and backward
 in reverse.
 
-`Conv1d` is lowered to matrix products (im2col): its forward copies the
-padded input windows into a (batch*length, channels*kernel) matrix and
-multiplies it by the (out_channels, channels*kernel) weights; its backward
-is one product for the weight gradient and one for the window gradients,
-which `kernel` strided adds scatter back to the input positions (col2im).
+`Conv1d` is lowered to matrix products (im2col): its forward fills a
+(batch*length, channels*kernel) matrix tap by tap with strided slices of the
+unpadded input, zeroing the rows that read padding, and multiplies it by the
+(out_channels, channels*kernel) weights; its backward is one product for the
+weight gradient and one for the window gradients, whose `kernel` taps are
+added straight into the unpadded input gradient (col2im).
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LabelError, NumericError, ShapeError
 
@@ -77,12 +77,16 @@ class Conv1d(Layer):
             raise ShapeError(
                 f"input length {x.shape[2]} + 2*{self.padding} pad < kernel {self.kernel}"
             )
-        p = self.padding
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
-        win = sliding_window_view(xp, self.kernel, axis=2)[:, :, :: self.stride]
-        b_, c, lo, k = win.shape
-        # im2col: one copy of the windows, rows (batch, position), columns (channel, tap)
-        cols = win.transpose(0, 2, 1, 3).reshape(b_ * lo, c * k)
+        b_, c, n = x.shape
+        lo, k = self.out_length(n), self.kernel
+        # im2col: rows (batch, position), columns (channel, tap); tap m of row
+        # i reads x[i*stride + m - padding], and rows outside [0, n) read zero
+        cols = np.empty((b_, lo, c, k), dtype=x.dtype)
+        for m, i0, i1, src in self._taps(n, lo):
+            cols[:, :i0, :, m] = 0.0
+            cols[:, i0:i1, :, m] = x[:, :, src].transpose(0, 2, 1)
+            cols[:, i1:, :, m] = 0.0
+        cols = cols.reshape(b_ * lo, c * k)
         self._cols = cols if cache else None
         self._x_shape = x.shape
         # compute in the activation dtype (float64 in the model); the BLAS
@@ -93,21 +97,29 @@ class Conv1d(Layer):
         y += self.params["b"].astype(x.dtype, copy=False)
         return np.ascontiguousarray(y.reshape(b_, lo, -1).transpose(0, 2, 1))
 
+    def _taps(self, n, lo):
+        """(m, i0, i1, src) per tap m: of the lo output rows, rows i0 <= i < i1
+        read an input inside [0, n), namely x[..., src]; i0 == i1 when none
+        does, and then src is empty."""
+        s, p = self.stride, self.padding
+        for m in range(self.kernel):
+            i0 = min(lo, max(0, -((m - p) // s)))
+            i1 = max(i0, min(lo, (n - 1 + p - m) // s + 1))
+            j0 = max(0, i0 * s + m - p)
+            yield m, i0, i1, slice(j0, j0 + (i1 - i0) * s, s)
+
     def backward(self, gy):
         b_, o, lo = gy.shape
         w = self.params["w"].astype(gy.dtype, copy=False)
         g2 = gy.transpose(0, 2, 1).reshape(b_ * lo, o)
         self.grads["w"] = (g2.T @ self._cols).reshape(w.shape)
         self.grads["b"] = gy.sum(axis=(0, 2))
-        # col2im: column (c, m) of row (b, i) goes back to padded position i*stride + m
+        # col2im: column (c, m) of row (b, i) goes back to input i*stride + m - padding,
+        # taps added in order; rows that read padding are dropped
         gcols = (g2 @ w.reshape(o, -1)).reshape(b_, lo, self.in_channels, self.kernel)
-        p = self.padding
-        lp = self._x_shape[2] + 2 * p
-        gxp = np.zeros((b_, self.in_channels, lp), dtype=gcols.dtype)
-        for m in range(self.kernel):
-            tap = gcols[:, :, :, m].transpose(0, 2, 1)
-            gxp[:, :, m : m + lo * self.stride : self.stride] += tap
-        gx = gxp[:, :, p : lp - p] if p else gxp
+        gx = np.zeros(self._x_shape, dtype=gcols.dtype)
+        for m, i0, i1, src in self._taps(self._x_shape[2], lo):
+            gx[:, :, src] += gcols[:, i0:i1, :, m].transpose(0, 2, 1)
         return gx.astype(gy.dtype, copy=False)
 
 
@@ -145,12 +157,10 @@ class MaxPool1d(Layer):
         n, lo = x.shape[2], self.out_length(x.shape[2])
         if lo == 0:
             raise ShapeError(f"pool window {self.window} exceeds length {n}")
-        # right-pad with -inf so the ceil-mode tail is just the last window
-        pad = (lo - 1) * self.stride + self.window - n
-        if pad > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
         # running max over the window taps; strict > keeps ties on the first
-        # tap, whose index is tracked only for a backward to come
+        # tap, whose index is tracked only for a backward to come. Tap k
+        # reaches only the first v.shape[2] outputs: the ceil-mode tail
+        # window is short
         span = lo * self.stride
         y = x[:, :, 0:span:self.stride].copy()
         arg = None
@@ -158,11 +168,13 @@ class MaxPool1d(Layer):
             arg = np.zeros(y.shape, dtype=np.min_scalar_type(self.window - 1))
         for k in range(1, self.window):
             v = x[:, :, k : k + span : self.stride]
+            yk = y[:, :, : v.shape[2]]
             if cache:
-                np.putmask(arg, v > y, k)
-            np.maximum(y, v, out=y)
+                np.putmask(arg[:, :, : v.shape[2]], v > yk, k)
+            np.maximum(yk, v, out=yk)
         self._arg = arg
-        self._shape, self._n = x.shape, n
+        self._shape = (*x.shape[:2], max(span - self.stride + self.window, n))
+        self._n = n
         return y
 
     def backward(self, gy):

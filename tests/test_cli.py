@@ -132,6 +132,16 @@ class TestPreprocess:
         assert "at most 15 levels fit" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.ecgb"))
 
+    def test_window_longer_than_record_exit_3_names_lengths(self, synth_db_small, tmp_path,
+                                                           capsys):
+        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
+                  "--window", 43201])
+        assert rc == 3
+        # each record is 120 s at 360 Hz = 43,200 samples
+        err = capsys.readouterr().err
+        assert "baseline window 43201 exceeds the record's 43200 samples" in err
+        assert not list(tmp_path.rglob("*.ecgb"))
+
 
 class TestTrain:
     def test_artifacts_and_loss_decrease(self, trained):

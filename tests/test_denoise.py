@@ -216,6 +216,12 @@ class TestRemoveBaseline:
         with pytest.raises(ParameterError):
             dn.remove_baseline(np.zeros(100), -3)
 
+    def test_window_longer_than_signal_is_a_length_error(self):
+        # a valid setting that does not fit the data, like too many levels
+        with pytest.raises(LengthError, match="window 101 exceeds the record's 100 samples"):
+            dn.remove_baseline(np.zeros(100), 101)
+        assert np.abs(dn.remove_baseline(np.ones(101), 101)).max() < 1e-12
+
     def test_against_oracle(self):
         x = np.random.default_rng(3).standard_normal(400)
         assert np.allclose(dn.remove_baseline(x, 51), moving_average_oracle(x, 51), atol=1e-10)

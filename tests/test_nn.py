@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ecgres import nn
@@ -63,6 +65,57 @@ def maxpool_oracle(x, window, stride):
             for i in range(out_len):
                 y[bi, c, i] = max(x[bi, c, i * stride : i * stride + window])
     return y
+
+
+def conv1d_padded(layer, x, gy):
+    """Conv1d forward and backward as they were before the pad-free lowering:
+    im2col copies the windows of the zero-padded input, col2im adds every
+    tap into a padded buffer and trims it. Returns (y, grad w, grad b,
+    grad x, im2col matrix)."""
+    p = layer.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
+    win = sliding_window_view(xp, layer.kernel, axis=2)[:, :, :: layer.stride]
+    b_, c, lo, k = win.shape
+    cols = win.transpose(0, 2, 1, 3).reshape(b_ * lo, c * k)
+    w = layer.params["w"].astype(x.dtype, copy=False)
+    y = cols @ w.reshape(len(w), -1).T
+    y += layer.params["b"].astype(x.dtype, copy=False)
+    y = np.ascontiguousarray(y.reshape(b_, lo, -1).transpose(0, 2, 1))
+
+    o = gy.shape[1]
+    g2 = gy.transpose(0, 2, 1).reshape(b_ * lo, o)
+    gw = (g2.T @ cols).reshape(w.shape)
+    gb = gy.sum(axis=(0, 2))
+    gcols = (g2 @ w.reshape(o, -1)).reshape(b_, lo, layer.in_channels, layer.kernel)
+    lp = x.shape[2] + 2 * p
+    gxp = np.zeros((b_, layer.in_channels, lp), dtype=gcols.dtype)
+    for m in range(layer.kernel):
+        tap = gcols[:, :, :, m].transpose(0, 2, 1)
+        gxp[:, :, m : m + lo * layer.stride : layer.stride] += tap
+    gx = gxp[:, :, p : lp - p] if p else gxp
+    return y, gw, gb, gx.astype(gy.dtype, copy=False), cols
+
+
+def maxpool_padded(layer, x, gy):
+    """MaxPool1d forward as it was before the pad-free pool (a -inf right pad
+    makes the ceil-mode tail a full window), and its backward over the padded
+    length. Returns (y, arg, grad x)."""
+    n, lo = x.shape[2], layer.out_length(x.shape[2])
+    pad = (lo - 1) * layer.stride + layer.window - n
+    if pad > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
+    span = lo * layer.stride
+    y = x[:, :, 0:span:layer.stride].copy()
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(layer.window - 1))
+    for k in range(1, layer.window):
+        v = x[:, :, k : k + span : layer.stride]
+        np.putmask(arg, v > y, k)
+        np.maximum(y, v, out=y)
+
+    gx = np.zeros(x.shape, dtype=gy.dtype)
+    for k in range(layer.window):
+        gx[:, :, k : k + span : layer.stride] += gy * (arg == k)
+    return y, arg, gx[:, :, :n]
 
 
 def make_conv(in_ch, out_ch, kernel, stride, padding, seed=0):
@@ -277,6 +330,88 @@ class TestMaxPool:
                 return float(np.sum(layer.forward(v) * gw))
 
             assert rel_error(gx, fd_gradient(loss, x)) < 1e-4
+
+
+class TestPadFreeLowering:
+    """Conv1d and MaxPool1d give the same bytes as the padded lowering they
+    replaced (conv1d_padded, maxpool_padded), cached or not, including taps
+    that read only padding and short ceil-mode tails."""
+
+    @given(st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_conv_bit_equal_to_padded(self, data):
+        draw = data.draw
+        batch, in_ch, out_ch = (draw(st.integers(1, 4)) for _ in range(3))
+        length, kernel = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+        stride, padding = draw(st.integers(1, 4)), draw(st.integers(0, kernel))
+        assume(length + 2 * padding >= kernel)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        layer = nn.Conv1d(in_ch, out_ch, kernel, stride, padding, rng=rng)
+        layer.params["b"] = rng.standard_normal(out_ch).astype(np.float32)
+        x = rng.standard_normal((batch, in_ch, length))
+        gy = rng.standard_normal((batch, out_ch, layer.out_length(length)))
+        y_want, gw, gb, gx_want, cols = conv1d_padded(layer, x, gy)
+
+        y = layer.forward(x, cache=False)
+        assert layer._cols is None
+        assert layer.forward(x).tobytes() == y.tobytes()
+        assert layer._cols.flags.c_contiguous
+        assert layer._cols.tobytes() == np.ascontiguousarray(cols).tobytes()
+        gx = layer.backward(gy)
+        assert gx.shape == x.shape
+        assert gx.tobytes() == gx_want.tobytes()
+        assert layer.grads["b"].tobytes() == gb.tobytes()
+        if cols.flags.c_contiguous:
+            assert y.tobytes() == y_want.tobytes()
+            assert layer.grads["w"].tobytes() == gw.tobytes()
+        else:
+            # with one channel or one row of windows, the padded reshape was
+            # an overlapping view, which numpy multiplies without the BLAS;
+            # the same matrix now always goes to the BLAS as a copy
+            assert np.allclose(y, y_want, rtol=1e-12, atol=1e-12)
+            assert np.allclose(layer.grads["w"], gw, rtol=1e-12, atol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=250, deadline=None)
+    def test_pool_bit_equal_to_padded(self, data):
+        draw = data.draw
+        batch, ch, length = (draw(st.integers(1, hi)) for hi in (4, 4, 40))
+        window, stride = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        assume(length >= window)
+        layer = nn.MaxPool1d(window, stride, ceil_mode=draw(st.booleans()))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.integers(0, 3, (batch, ch, length)).astype(np.float64)  # ties
+        x[rng.random(x.shape) < 0.1] = -np.inf
+        gy = rng.standard_normal((batch, ch, layer.out_length(length)))
+        y_want, arg_want, gx_want = maxpool_padded(layer, x, gy)
+
+        assert layer.forward(x, cache=False).tobytes() == y_want.tobytes()
+        assert layer._arg is None
+        assert layer.forward(x).tobytes() == y_want.tobytes()
+        assert layer._arg.dtype == arg_want.dtype
+        assert layer._arg.tobytes() == arg_want.tobytes()
+        gx = layer.backward(gy)
+        assert gx.shape == x.shape
+        assert gx.tobytes() == gx_want.tobytes()
+
+    @pytest.mark.parametrize("shape", [
+        # (length, kernel, stride, padding): k7/p3 on a length-3 input leaves
+        # taps 0-2 and 4-6 with rows in padding only; k8/p8 on length 1 leaves
+        # every tap but one empty; s4 skips trailing inputs
+        (3, 7, 1, 3), (1, 8, 1, 8), (1, 8, 4, 4), (2, 5, 3, 2), (9, 3, 4, 0),
+    ])
+    def test_conv_taps_outside_the_input(self, shape):
+        length, kernel, stride, padding = shape
+        layer = make_conv(2, 3, kernel, stride, padding)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 2, length))
+        y = layer.forward(x)
+        gy = rng.standard_normal(y.shape)
+        want = conv1d_oracle(x, layer.params["w"], layer.params["b"], stride, padding)
+        assert np.abs(y - want).max() < 1e-10
+        y_want, _, _, gx_want, _ = conv1d_padded(layer, x, gy)
+        assert y.tobytes() == y_want.tobytes()
+        assert layer.backward(gy).tobytes() == gx_want.tobytes()
 
 
 class TestDense:
