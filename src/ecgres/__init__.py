@@ -1,13 +1,13 @@
 """Five-class MIT-BIH heartbeat classification with a from-scratch residual 1D CNN."""
 
 from .wfdb_io import BeatClass, EcgRecord, load_record, select_dataset
-from .segment import BeatSegment, build_split, segment_record_beats
+from .segment import Beats, build_split, segment_record_beats
 from .model import Model, ModelConfig, TrainConfig, build_model, train
 from .metrics import compute_metrics, confusion
 
 __all__ = [
     "BeatClass", "EcgRecord", "load_record", "select_dataset",
-    "BeatSegment", "build_split", "segment_record_beats",
+    "Beats", "build_split", "segment_record_beats",
     "Model", "ModelConfig", "TrainConfig", "build_model", "train",
     "compute_metrics", "confusion",
 ]

@@ -108,7 +108,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     names, index = _load_selected(cfg)
     excluded = sorted(set(names) & wf.EXCLUDED_RECORDS)
     selected = sorted({ref.record.name for ref in index})
-    counts = wf.class_counts(index)
+    counts = wf.class_counts(np.array([ref.label for ref in index], dtype=np.int64))
 
     print(f"records found:    {len(names)}")
     print(f"records selected: {len(selected)}")
@@ -136,29 +136,29 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_preprocess(cfg: RunConfig) -> int:
     _, index = _load_selected(cfg)
     policy = dn.ThresholdPolicy(mode=cfg.threshold_mode)
-    segments, skips = sg.segment_record_beats(
+    beats, skips = sg.segment_record_beats(
         index, levels=cfg.levels, window=cfg.window, policy=policy
     )
-    split = sg.build_split(segments, cfg.seed, cfg.per_set_size)
+    split = sg.build_split(beats, cfg.seed, cfg.per_set_size)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sg.save_segments(split.train, out_dir / "train.ecgb")
     sg.save_segments(split.test, out_dir / "test.ecgb")
 
-    print(f"segments: {len(segments)} (boundary skips: {skips})")
-    for part, segs in (("train", split.train), ("test", split.test)):
-        pretty = "  ".join(f"{k}={v}" for k, v in wf.class_counts(segs).items())
-        print(f"{part}: {len(segs)} beats  {pretty}")
+    print(f"segments: {len(beats)} (boundary skips: {skips})")
+    for part, rows in (("train", split.train), ("test", split.test)):
+        pretty = "  ".join(f"{k}={v}" for k, v in wf.class_counts(rows.labels).items())
+        print(f"{part}: {len(rows)} beats  {pretty}")
     print(f"wrote {out_dir / 'train.ecgb'} and {out_dir / 'test.ecgb'}")
     return 0
 
 
-def _limit(segments: list[sg.BeatSegment], limit: int | None, rng) -> list[sg.BeatSegment]:
-    """A seeded random subset of at most `limit` segments; all when limit is None."""
+def _limit(beats: sg.Beats, limit: int | None, rng) -> sg.Beats:
+    """A seeded random subset of at most `limit` beats; all when limit is None."""
     if limit is None:
-        return segments
-    return [segments[i] for i in rng.permutation(len(segments))[:limit]]
+        return beats
+    return beats[rng.permutation(len(beats))[:limit]]
 
 
 def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
@@ -170,8 +170,8 @@ def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
     rng = np.random.default_rng(cfg.seed)
     train = _limit(sg.load_segments(train_path), cfg.limit, rng)
     test = _limit(sg.load_segments(test_path), cfg.limit, rng)
-    for p, segs in ((train_path, train), (test_path, test)):
-        if not segs:
+    for p, beats in ((train_path, train), (test_path, test)):
+        if not beats:
             raise SizeError(f"dataset file {p} holds no beats to use")
     return sg.DatasetSplit(train, test, cfg.seed)
 
@@ -205,14 +205,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint: str, dataset: str) -> int:
     model = md.load_checkpoint(checkpoint)
-    segments = _limit(sg.load_segments(dataset), cfg.limit, np.random.default_rng(cfg.seed))
-    x, y = sg.segments_to_arrays(segments)
-    if x.shape[2] != model.config.input_length:
-        raise ShapeError(
-            f"dataset segments of length {x.shape[2]} do not fit model input "
-            f"{model.config.input_length}"
-        )
-    pred, _ = md.predict_batch(model, x)
+    beats = _limit(sg.load_segments(dataset), cfg.limit, np.random.default_rng(cfg.seed))
+    x, y = sg.segments_to_arrays(beats)
+    pred, _ = md.predict_batch(model, x)  # ShapeError unless the model takes 180 samples
     cm = me.confusion(y, pred)
     report = me.compute_metrics(cm)
     me.emit_report(report, cm, cfg.output_dir)
@@ -233,21 +228,21 @@ def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: 
             f"(record {record} has {len(index)} eligible beats)"
         )
     ref = index[annotation_index]
-    segments, _ = sg.segment_record_beats(
+    beats, _ = sg.segment_record_beats(
         [ref], levels=cfg.levels, window=cfg.window,
         policy=dn.ThresholdPolicy(mode=cfg.threshold_mode),
     )
-    if not segments:
+    if not beats:
         raise BoundarySkip(
             f"beat {annotation_index} of record {record} (sample "
             f"{ref.annotation.sample_index}) is within {sg.HALF_WINDOW} samples of an end"
         )
-    cls, probs = md.predict(model, segments[0].samples)
+    pred, probs = md.predict_batch(model, sg.segments_to_arrays(beats)[0])
     print(f"record {record}, beat {annotation_index} "
           f"(sample {ref.annotation.sample_index}, annotated {ref.annotation.code})")
-    print(f"predicted: {cls.name}")
+    print(f"predicted: {wf.BeatClass(pred[0]).name}")
     for c in wf.BeatClass:
-        print(f"  {c.name:5s} {probs[int(c)]:.4f}")
+        print(f"  {c.name:5s} {probs[0, c]:.4f}")
     return 0
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from . import atomic, nn
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .segment import DatasetSplit, segments_to_arrays
-from .wfdb_io import BeatClass
 
 # Inference runs in chunks of at least this many rows: the activations of a
 # chunk stay small enough to be reused rather than mapped fresh, and OpenBLAS
@@ -183,13 +182,6 @@ def predict_batch(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs.argmax(axis=1), probs
 
 
-def predict(model: Model, samples: np.ndarray) -> tuple[BeatClass, np.ndarray]:
-    """Class and probabilities of one beat's 180 samples."""
-    x = np.asarray(samples, dtype=np.float32)[None, None, :]
-    pred, probs = predict_batch(model, x)
-    return BeatClass(int(pred[0])), probs[0]
-
-
 def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
           verbose: bool = False) -> TrainLog:
     if not split.train:
@@ -293,6 +285,8 @@ def load_checkpoint(path) -> Model:
         for line in cfg_text.splitlines():
             k, v = line.split("=", 1)
             fields[k] = int(v)
+            if fields[k] < (0 if k == "seed" else 1):
+                raise CheckpointError(f"{path}: config {k}={fields[k]} is out of range")
         model = Model(ModelConfig(**fields))
         params = model.params()
         seen = set()
@@ -322,6 +316,6 @@ def load_checkpoint(path) -> Model:
         missing = set(params) - seen
         if missing:
             raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-    except (struct.error, ValueError, TypeError) as e:
+    except (struct.error, ValueError, TypeError, ConfigError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from e
     return model

@@ -3,13 +3,13 @@
 `cut_beats` cuts all annotated beats of a record in one array operation. A
 beat whose 200-sample window around the R peak (100 before / 100 after)
 leaves the record is dropped; every other beat keeps the central 180
-samples of that window, rescaled per segment to [-1, 1].
+samples of that window, rescaled per segment to [-1, 1]. A set of beats is
+one `Beats` table of columns, from the cut to the network input.
 """
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,23 +27,50 @@ DATASET_MAGIC = b"ECGB"
 DATASET_VERSION = 1
 
 
-@dataclass(frozen=True)
-class BeatSegment:
-    samples: np.ndarray  # 180 float32 values in [-1, 1]
-    label: BeatClass
-    record_id: str
-    annotation_index: int
+@dataclass(frozen=True, eq=False)
+class Beats:
+    """A table of beats: four equal-length columns, one row per beat. An
+    integer index gives a one-row table, or IndexError past the end, so a
+    table also iterates row by row."""
 
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.record_id, self.annotation_index)
+    samples: np.ndarray           # (n, 180) float32 in [-1, 1]
+    labels: np.ndarray            # (n,) int64 BeatClass ids
+    record_ids: np.ndarray        # (n,) object array of record-name str
+    annotation_index: np.ndarray  # (n,) int64 R-peak sample index
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index) -> Beats:
+        if isinstance(index, (int, np.integer)):
+            index = slice(row := range(len(self))[index], row + 1)
+        return Beats(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, tables) -> Beats:
+        """The rows of `tables` in order; no tables give an empty table."""
+        tables = [EMPTY, *tables]
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables])
+                     for f in fields(cls)))
+
+
+EMPTY = Beats(np.zeros((0, SEGMENT_SAMPLES), np.float32), np.zeros(0, np.int64),
+              np.zeros(0, object), np.zeros(0, np.int64))
+
+
+def as_beats(beats: Beats | list[Beats]) -> Beats:
+    # perfbench's prepare.py and Train set-up build sets as lists of tables
+    return Beats.concat(beats) if isinstance(beats, list) else beats
 
 
 @dataclass
 class DatasetSplit:
-    train: list[BeatSegment]
-    test: list[BeatSegment]
+    train: Beats
+    test: Beats
     seed: int
+
+    def __post_init__(self):
+        self.train, self.test = as_beats(self.train), as_beats(self.test)
 
 
 def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
@@ -71,31 +98,31 @@ def segment_record_beats(
     levels: int = dn.DEFAULT_LEVELS,
     window: int = dn.DEFAULT_BASELINE_WINDOW,
     policy: dn.ThresholdPolicy = dn.ThresholdPolicy(),
-) -> tuple[list[BeatSegment], int]:
+) -> tuple[Beats, int]:
     """Denoise each referenced record once, then cut its beats.
 
-    Returns (segments, boundary_skips).
+    Returns (beats, boundary_skips).
     """
     by_record: dict[str, list[BeatRef]] = {}
     for ref in refs:
         by_record.setdefault(ref.record.name, []).append(ref)
 
-    segments: list[BeatSegment] = []
-    skips = 0
+    tables, skips = [], 0
     for name in sorted(by_record):
         group = by_record[name]
         channel = dn.denoise(group[0].record.channels[group[0].channel],
                              levels=levels, window=window, policy=policy)
-        samples, kept = cut_beats(channel, [r.annotation.sample_index for r in group])
-        kept_refs = [r for r, k in zip(group, kept) if k]
-        skips += len(group) - len(kept_refs)
-        segments += [BeatSegment(row, r.label, name, r.annotation.sample_index)
-                     for row, r in zip(samples, kept_refs)]
-    return segments, skips
+        centers = np.array([r.annotation.sample_index for r in group], dtype=np.int64)
+        samples, kept = cut_beats(channel, centers)
+        skips += len(group) - len(samples)
+        labels = np.array([r.label for r in group], dtype=np.int64)[kept]
+        tables.append(Beats(samples, labels, np.full(len(samples), name, dtype=object),
+                            centers[kept]))
+    return Beats.concat(tables), skips
 
 
 def build_split(
-    segments: list[BeatSegment], seed: int, per_set_size: int | None = None
+    segments: Beats | list[Beats], seed: int, per_set_size: int | None = None
 ) -> DatasetSplit:
     """Stratified 50/50 split; optional proportional down-sampling per set.
 
@@ -105,10 +132,11 @@ def build_split(
     class's half, then tops up one beat per class in turn, largest remainder
     first, until the set is full. Beats are never duplicated.
     """
+    segments = as_beats(segments)
     if not segments:
         raise SizeError("empty beat index")
     rng = np.random.default_rng(seed)
-    labels = np.array([int(s.label) for s in segments])
+    labels = segments.labels
     halves = []
     for cls in range(len(BeatClass)):
         idx = np.flatnonzero(labels == cls)
@@ -122,7 +150,7 @@ def build_split(
             f"({len(segments)} total)"
         )
 
-    def take(pool) -> list[BeatSegment]:
+    def take(pool) -> Beats:
         n = cap = np.array([len(h) for h in pool])
         if per_set_size is not None:
             exact = per_set_size * np.bincount(labels, minlength=len(cap)) / len(segments)
@@ -134,33 +162,34 @@ def build_split(
             while (deficit := per_set_size - n.sum()) > 0:
                 room = order[n[order] < cap[order]]
                 n[room[:deficit]] += 1
-        return [segments[i] for i in np.concatenate([h[:k] for h, k in zip(pool, n)])]
+        return segments[np.concatenate([h[:k] for h, k in zip(pool, n)])]
 
     return DatasetSplit(take(train), take(test), seed)
 
 
-# --- dataset container: magic "ECGB", version u16, count u32, then per beat:
-#     u16 record-id length + utf-8 bytes, u32 annotation index, u8 label,
-#     180 little-endian float32 samples ---
+# --- dataset container: magic "ECGB", version u16, count u32, then per beat
+#     a u16 record-id length, the utf-8 id and the 725-byte `_FIXED` part:
+#     u32 annotation index at 0, u8 label at 4, 180 float32 samples at 5 ---
 
-def save_segments(segments: list[BeatSegment], path: str | Path) -> None:
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
-    buf.write(struct.pack("<HI", DATASET_VERSION, len(segments)))
-    for seg in segments:
-        rid = seg.record_id.encode()
-        buf.write(struct.pack("<H", len(rid)))
-        buf.write(rid)
-        buf.write(struct.pack("<IB", seg.annotation_index, int(seg.label)))
-        buf.write(np.asarray(seg.samples, dtype="<f4").tobytes())
-    atomic.write_bytes(path, buf.getvalue())
+_FIXED = np.dtype([("annotation_index", "<u4"), ("label", "u1"),
+                   ("samples", "<f4", (SEGMENT_SAMPLES,))])
 
 
-def load_segments(path: str | Path) -> list[BeatSegment]:
+def save_segments(beats: Beats, path: str | Path) -> None:
+    fixed = np.rec.fromarrays([beats.annotation_index, beats.labels, beats.samples],
+                              dtype=_FIXED)
+    rows = (struct.pack("<H", len(rid)) + rid + row.tobytes()
+            for rid, row in zip((r.encode() for r in beats.record_ids), fixed))
+    head = DATASET_MAGIC + struct.pack("<HI", DATASET_VERSION, len(beats))
+    atomic.write_bytes(path, head + b"".join(rows))
+
+
+def load_segments(path: str | Path) -> Beats:
+    """One pass over the ids finds the fixed parts; array gathers decode them."""
     data = Path(path).read_bytes()
     if data[:4] != DATASET_MAGIC:
         raise ParseError(f"{path}: not a dataset file (bad magic)")
-    out = []
+    ids, starts = [], []
     try:
         version, count = struct.unpack_from("<HI", data, 4)
         if version != DATASET_VERSION:
@@ -168,24 +197,32 @@ def load_segments(path: str | Path) -> list[BeatSegment]:
         pos = 10
         for _ in range(count):
             (rid_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            rid = data[pos : pos + rid_len].decode()
-            pos += rid_len
-            ann_idx, label = struct.unpack_from("<IB", data, pos)
-            pos += 5
-            samples = np.frombuffer(data, dtype="<f4", count=SEGMENT_SAMPLES, offset=pos)
-            pos += 4 * SEGMENT_SAMPLES
-            out.append(BeatSegment(samples.copy(), BeatClass(label), rid, ann_idx))
+            ids.append(data[pos + 2 : pos + 2 + rid_len].decode())
+            starts.append(pos := pos + 2 + rid_len)
+            pos += _FIXED.itemsize
     except (struct.error, ValueError) as e:
         raise ParseError(f"{path}: truncated or corrupt dataset file") from e
-    if pos != len(data):
+    if pos > len(data):
+        raise ParseError(f"{path}: truncated or corrupt dataset file")
+    if pos < len(data):
         raise ParseError(f"{path}: {len(data) - pos} bytes after the last of {count} segments")
-    return out
+    if not count:
+        return EMPTY
+    # Each column is gathered from a sliding-window view of the file at its
+    # `_FIXED` offset. The view copies nothing, so the file bytes and the
+    # samples are the only large buffers alive at once.
+    u8, starts = np.frombuffer(data, np.uint8), np.array(starts)
+    window = np.lib.stride_tricks.sliding_window_view
+    labels = u8[starts + 4].astype(np.int64)
+    if labels.max() >= len(BeatClass):
+        raise ParseError(f"{path}: label {labels.max()} is not a beat class")
+    return Beats(window(u8, 4 * SEGMENT_SAMPLES)[starts + 5].view("<f4"), labels,
+                 np.array(ids, dtype=object),
+                 window(u8, 4)[starts].view("<u4")[:, 0].astype(np.int64))
 
 
-def segments_to_arrays(segments: list[BeatSegment]) -> tuple[np.ndarray, np.ndarray]:
+def segments_to_arrays(beats: Beats) -> tuple[np.ndarray, np.ndarray]:
     """(batch, 1, 180) float32 inputs and int label vector for the network."""
-    if not segments:
+    if not beats:
         raise SizeError("no beats to stack: the dataset is empty")
-    x = np.stack([np.asarray(s.samples, dtype=np.float32) for s in segments])
-    return x[:, None, :], np.array([int(s.label) for s in segments], dtype=np.int64)
+    return beats.samples[:, None, :], beats.labels

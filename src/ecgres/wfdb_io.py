@@ -136,7 +136,7 @@ def parse_header(text: str) -> RecordHeader:
         fs_tok = fields[2].split("/")[0].split("(")[0]
         sampling_frequency = int(float(fs_tok))
         num_samples = int(fields[3])
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # int(inf) overflows
         raise ParseError(f"line 1: {e}") from e
     if num_signals <= 0:
         raise ParseError(f"line 1: non-positive signal count {num_signals}")
@@ -159,6 +159,8 @@ def parse_header(text: str) -> RecordHeader:
             fmt = int(re.match(r"\d*", toks[1]).group())
             # a zero gain means unspecified: WFDB's default is 200
             gain = float(toks[2].split("(")[0].split("/")[0]) or 200.0
+            if not np.isfinite(gain):
+                raise ValueError(f"gain {gain} is not finite")
             adc_zero = int(toks[4]) if len(toks) > 4 else 0
         except ValueError as e:
             raise ParseError(f"line {lineno}: bad signal line {lines[1 + i]!r} ({e})") from e
@@ -345,8 +347,7 @@ def select_dataset(records) -> list[BeatRef]:
     return index
 
 
-def class_counts(index) -> dict[str, int]:
-    counts = {cls.name: 0 for cls in BeatClass}
-    for ref in index:
-        counts[ref.label.name] += 1
-    return counts
+def class_counts(labels: np.ndarray) -> dict[str, int]:
+    """Beats per class name, from an integer array of `BeatClass` ids."""
+    counts = np.bincount(labels, minlength=len(BeatClass))
+    return {cls.name: int(counts[cls]) for cls in BeatClass}

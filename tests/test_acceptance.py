@@ -22,6 +22,7 @@ from ecgres import wfdb_io as wf
 
 import conftest
 from conftest import MITDB_DIR, fd_gradient, rel_error, requires_mitdb
+from test_segment import keys
 
 FULL_PROTOCOL = os.environ.get("ECGRES_FULL_PROTOCOL") == "1"
 
@@ -251,13 +252,11 @@ def test_criterion_5_smoke_variant(synth_segments):
 
 
 def test_criterion_6_chance_level_control(synth_segments):
-    by_class = {int(c): [] for c in wf.BeatClass}
-    for seg in synth_segments:
-        by_class[int(seg.label)].append(seg)
-    balanced = [s for c in sorted(by_class) for s in by_class[c][:100]]
+    labels = synth_segments.labels
+    balanced = np.concatenate([np.flatnonzero(labels == c)[:100] for c in wf.BeatClass])
     assert len(balanced) == 500
     model = md.build_model(md.ModelConfig(seed=123))  # untrained
-    x, y = sg.segments_to_arrays(balanced)
+    x, y = sg.segments_to_arrays(synth_segments[balanced])
     pred, _ = md.predict_batch(model, x)
     acc = float((pred == y).mean())
     assert 0.15 <= acc <= 0.25
@@ -289,8 +288,8 @@ def test_criterion_8_dataset_contract(synth_db, tmp_path):
     train = sg.load_segments(out / "train.ecgb")
     test = sg.load_segments(out / "test.ecgb")
     assert len(train) == 13200 and len(test) == 13200
-    assert not ({s.key for s in train} & {s.key for s in test})
-    for seg in train + test:
-        assert len(seg.samples) == 180
-        assert seg.samples.min() >= -1.0 and seg.samples.max() <= 1.0
+    assert not (set(keys(train)) & set(keys(test)))
+    for beats in (train, test):
+        assert beats.samples.shape == (13200, 180)
+        assert beats.samples.min() >= -1.0 and beats.samples.max() <= 1.0
     report("8 dataset contract", "(2 x 13200 disjoint segments, range [-1,1])")

@@ -52,7 +52,8 @@ def test_failed_write_creates_nothing(tmp_path, fail_writes):
 
 def test_artifact_writers_keep_previous_files(tmp_path, fail_writes):
     def write_all(seed):
-        sg.save_segments([make_segment(ann=i, seed=seed + i) for i in range(3)],
+        sg.save_segments(sg.Beats.concat([make_segment(ann=i, seed=seed + i)
+                                          for i in range(3)]),
                          tmp_path / "train.ecgb")
         md.save_checkpoint(md.build_model(md.ModelConfig(seed=seed)),
                            tmp_path / "checkpoint.ecgm")

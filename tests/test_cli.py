@@ -1,16 +1,19 @@
+import dataclasses
 import json
 import re
 import shlex
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ecgres import cli
+from ecgres import model as md
 from ecgres import segment as sg
 
-from test_segment import write_edge_record
+from test_segment import keys, write_edge_record
 
 
 def run(argv):
@@ -79,7 +82,7 @@ class TestPreprocess:
     def test_sets_disjoint(self, preprocessed):
         train = sg.load_segments(preprocessed / "train.ecgb")
         test = sg.load_segments(preprocessed / "test.ecgb")
-        assert not ({s.key for s in train} & {s.key for s in test})
+        assert not (set(keys(train)) & set(keys(test)))
 
     def test_same_seed_byte_identical(self, synth_db_small, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -161,7 +164,7 @@ class TestTrain:
     def test_zero_beat_set_exit_3_before_training(self, preprocessed, tmp_path, empty):
         for name in ("train.ecgb", "test.ecgb"):
             shutil.copy(preprocessed / name, tmp_path / name)
-        sg.save_segments([], tmp_path / empty)
+        sg.save_segments(sg.Beats.concat([]), tmp_path / empty)
         rc = run(["train", "--output-dir", tmp_path, "--epochs", 1, "--limit", 200])
         assert rc == 3
         assert not (tmp_path / "checkpoint.ecgm").exists()
@@ -185,6 +188,30 @@ class TestEvaluate:
                   "--dataset", trained / "test.ecgb", "--output-dir", tmp_path])
         assert rc == 5
 
+    @pytest.mark.parametrize("field, value", [
+        ("conv_kernel", 0), ("conv_stride", 0), ("pool_stride", 0), ("fc_hidden", 0),
+        ("seed", -1),
+        ("pool_window", 100), ("input_length", 4),  # the layer chain collapses
+    ])
+    def test_bad_config_block_exit_5(self, trained, tmp_path, field, value):
+        config = {**dataclasses.asdict(md.ModelConfig()), field: value}
+        text = "".join(f"{k}={v}\n" for k, v in config.items()).encode()
+        bad = tmp_path / "bad.ecgm"
+        bad.write_bytes(md.CHECKPOINT_MAGIC
+                        + struct.pack("<HI", md.CHECKPOINT_VERSION, len(text)) + text)
+        rc = run(["evaluate", "--checkpoint", bad,
+                  "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out"])
+        assert rc == 5
+        assert not (tmp_path / "out").exists()
+
+    def test_model_input_length_mismatch_exit_5(self, trained, tmp_path):
+        other = tmp_path / "long.ecgm"
+        md.save_checkpoint(md.build_model(md.ModelConfig(input_length=200)), other)
+        rc = run(["evaluate", "--checkpoint", other,
+                  "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out"])
+        assert rc == 5
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_report_dir_exit_3(self, trained, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -201,7 +228,7 @@ class TestEvaluate:
 
     def test_zero_beat_dataset_exit_3(self, trained, tmp_path):
         empty = tmp_path / "empty.ecgb"
-        sg.save_segments([], empty)
+        sg.save_segments(sg.Beats.concat([]), empty)
         rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
                   "--dataset", empty, "--output-dir", tmp_path / "out"])
         assert rc == 3

@@ -266,9 +266,10 @@ class TestPredictBatch:
 
 class TestPredict:
     def test_probabilities_valid(self, small_model):
-        seg = make_segment(seed=3)
-        cls, probs = md.predict(small_model, seg.samples)
-        assert isinstance(cls, BeatClass)
+        x, _ = sg.segments_to_arrays(make_segment(seed=3))
+        pred, probs = md.predict_batch(small_model, x)
+        assert pred.shape == (1,) and 0 <= pred[0] < len(BeatClass)
+        assert probs.shape == (1, len(BeatClass))
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_shift_invariance(self, small_model):

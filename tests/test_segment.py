@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -32,9 +33,22 @@ def oracle_beat(channel, center):
 
 
 def make_segment(label=BeatClass.NOR, record_id="100", ann=0, seed=0):
+    """A one-row `Beats` table with random rescaled samples."""
     rng = np.random.default_rng(seed)
     samples = rescale(rng.standard_normal(180)).astype(np.float32)
-    return sg.BeatSegment(samples, label, record_id, ann)
+    return sg.Beats(samples[None], np.array([label], np.int64),
+                    np.array([record_id], object), np.array([ann], np.int64))
+
+
+def make_beats(n, classes=5):
+    """`n` rows of `make_segment`, labels cycling through the first `classes`."""
+    return sg.Beats.concat([make_segment(BeatClass(i % classes), "100", i, i)
+                            for i in range(n)])
+
+
+def keys(beats):
+    """The (record id, annotation index) key of each row, as Python values."""
+    return list(zip(beats.record_ids.tolist(), beats.annotation_index.tolist()))
 
 
 def write_edge_record(data_dir, name="100", num_samples=3600):
@@ -63,8 +77,8 @@ def oracle_split(segments, seed, per_set_size=None):
     rng = np.random.default_rng(seed)
 
     by_class = {int(c): [] for c in BeatClass}
-    for seg in segments:
-        by_class[int(seg.label)].append(seg)
+    for label, key in zip(segments.labels.tolist(), keys(segments)):
+        by_class[label].append(key)
 
     train_pool, test_pool = {}, {}
     for cls in sorted(by_class):
@@ -76,8 +90,8 @@ def oracle_split(segments, seed, per_set_size=None):
         test_pool[cls] = shuffled[half:]
 
     if per_set_size is None:
-        return ([s.key for cls in sorted(train_pool) for s in train_pool[cls]],
-                [s.key for cls in sorted(test_pool) for s in test_pool[cls]])
+        return ([k for cls in sorted(train_pool) for k in train_pool[cls]],
+                [k for cls in sorted(test_pool) for k in test_pool[cls]])
 
     total = len(segments)
     if per_set_size > min(sum(len(v) for v in train_pool.values()),
@@ -106,19 +120,81 @@ def oracle_split(segments, seed, per_set_size=None):
                 raise SizeError(
                     f"cannot reach per_set_size {per_set_size} with available class counts"
                 )
-        return [s.key for c in classes for s in pool[c][: counts[c]]]
+        return [k for c in classes for k in pool[c][: counts[c]]]
 
     return allocate(train_pool), allocate(test_pool)
 
 
 def split_keys(split):
-    return [s.key for s in split.train], [s.key for s in split.test]
+    return keys(split.train), keys(split.test)
+
+
+def oracle_load(data):
+    """Reference decode: the per-beat `struct` reader that `load_segments`
+    replaced. Returns one (record id, annotation index, label, samples)
+    tuple per beat."""
+    version, count = struct.unpack_from("<HI", data, 4)
+    assert data[:4] == sg.DATASET_MAGIC and version == sg.DATASET_VERSION
+    out, pos = [], 10
+    for _ in range(count):
+        (rid_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2
+        rid = data[pos : pos + rid_len].decode()
+        pos += rid_len
+        ann_idx, label = struct.unpack_from("<IB", data, pos)
+        pos += 5
+        samples = np.frombuffer(data, dtype="<f4", count=180, offset=pos)
+        pos += 4 * 180
+        out.append((rid, ann_idx, BeatClass(label), samples.copy()))
+    assert pos == len(data)
+    return out
 
 
 def cut_one(channel, center):
     samples, kept = sg.cut_beats(channel, [center])
     assert samples.shape == (int(kept[0]), 180) and samples.dtype == np.float32
     return samples[0] if kept[0] else None
+
+
+class TestBeats:
+    def test_integer_index_is_one_row(self):
+        beats = make_beats(4)
+        for i in (2, np.int64(2), -2):
+            row = beats[i]
+            assert len(row) == 1 and row.samples.shape == (1, 180)
+            assert keys(row) == [("100", 2)] and row.labels.tolist() == [2]
+            assert np.shares_memory(row.samples, beats.samples)
+        for i in (4, -5):
+            with pytest.raises(IndexError):
+                beats[i]
+
+    def test_iterates_row_by_row(self):
+        beats = make_beats(5)
+        rows = list(beats)
+        assert len(rows) == 5 and all(len(r) == 1 for r in rows)
+        again = sg.Beats.concat(rows)
+        assert keys(again) == keys(beats)
+        assert np.array_equal(again.samples, beats.samples)
+
+    def test_index_array_and_slice(self):
+        beats = make_beats(6)
+        assert keys(beats[np.array([4, 1])]) == [("100", 4), ("100", 1)]
+        assert keys(beats[1:3]) == [("100", 1), ("100", 2)]
+        assert len(beats[np.array([], dtype=np.int64)]) == 0
+
+    def test_empty_concat(self):
+        empty = sg.Beats.concat([])
+        assert len(empty) == 0 and not empty
+        assert empty.samples.shape == (0, 180) and empty.samples.dtype == np.float32
+        assert empty.labels.dtype == np.int64 and empty.annotation_index.dtype == np.int64
+
+    def test_lists_of_tables_are_concatenated(self):
+        rows = [make_segment(BeatClass(i % 5), ann=i, seed=i) for i in range(30)]
+        split = sg.DatasetSplit(rows[:20], [], 0)
+        assert isinstance(split.train, sg.Beats) and len(split.train) == 20
+        assert isinstance(split.test, sg.Beats) and len(split.test) == 0
+        assert split_keys(sg.build_split(rows, 3)) == split_keys(
+            sg.build_split(sg.Beats.concat(rows), 3))
 
 
 # The window, crop and rescale rules of `cut_beats`, one class each.
@@ -211,20 +287,24 @@ class TestCutBeats:
 
 class TestSegmentRecords:
     def test_segment_shapes_and_ranges(self, synth_segments):
-        assert synth_segments
-        for seg in synth_segments[:500]:
-            assert len(seg.samples) == 180
-            assert seg.samples.min() >= -1.0 and seg.samples.max() <= 1.0
-            assert np.abs(seg.samples).max() == pytest.approx(1.0, abs=1e-6)
+        assert len(synth_segments)
+        samples = synth_segments.samples[:500]
+        assert samples.shape == (500, 180) and samples.dtype == np.float32
+        assert samples.min() >= -1.0 and samples.max() <= 1.0
+        assert np.abs(samples).max(axis=1) == pytest.approx(np.ones(500), abs=1e-6)
+        assert synth_segments.labels.dtype == np.int64
+        assert synth_segments.annotation_index.dtype == np.int64
+        assert len({len(synth_segments.samples), len(synth_segments.labels),
+                    len(synth_segments.record_ids), len(synth_segments.annotation_index)}) == 1
 
     def test_deterministic(self, synth_index):
         subset = [r for r in synth_index if r.record.name == "100"]
         a, _ = sg.segment_record_beats(subset)
         b, _ = sg.segment_record_beats(subset)
-        assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.samples, sb.samples)
-            assert sa.key == sb.key
+        assert len(a) == len(b) > 0
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.labels, b.labels)
+        assert keys(a) == keys(b)
 
     def test_boundary_beats_skipped(self, tmp_path):
         centers = write_edge_record(tmp_path)
@@ -232,7 +312,7 @@ class TestSegmentRecords:
         assert [r.annotation.sample_index for r in refs] == centers
         segments, skips = sg.segment_record_beats(refs)
         assert skips == 2
-        assert [s.key for s in segments] == [("100", centers[1])]
+        assert keys(segments) == [("100", centers[1])]
 
 
 class TestBuildSplit:
@@ -245,34 +325,33 @@ class TestBuildSplit:
         segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(57)]
         s1 = sg.build_split(segs, seed=42)
         s2 = sg.build_split(segs, seed=42)
-        assert [s.key for s in s1.train] == [s.key for s in s2.train]
-        assert [s.key for s in s1.test] == [s.key for s in s2.test]
+        assert split_keys(s1) == split_keys(s2)
 
     def test_disjoint(self):
         segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(101)]
         split = sg.build_split(segs, seed=1)
-        assert not ({s.key for s in split.train} & {s.key for s in split.test})
+        assert not (set(keys(split.train)) & set(keys(split.test)))
         assert len(split.train) + len(split.test) == 101
 
     def test_stratification_within_one(self):
         segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(203)]
         split = sg.build_split(segs, seed=3)
         for cls in BeatClass:
-            n_train = sum(1 for s in split.train if s.label == cls)
-            n_test = sum(1 for s in split.test if s.label == cls)
+            n_train = int((split.train.labels == cls).sum())
+            n_test = int((split.test.labels == cls).sum())
             assert abs(n_train - n_test) <= 1
 
     def test_per_set_size(self):
         segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(400)]
         split = sg.build_split(segs, seed=0, per_set_size=100)
         assert len(split.train) == 100 and len(split.test) == 100
-        assert not ({s.key for s in split.train} & {s.key for s in split.test})
+        assert not (set(keys(split.train)) & set(keys(split.test)))
 
     def test_per_set_size_preserves_proportions(self):
         segs = [make_segment(label=BeatClass.NOR, ann=i, seed=i) for i in range(300)]
         segs += [make_segment(label=BeatClass.PVC, ann=1000 + i, seed=i) for i in range(100)]
         split = sg.build_split(segs, seed=0, per_set_size=100)
-        n_nor = sum(1 for s in split.train if s.label == BeatClass.NOR)
+        n_nor = int((split.train.labels == BeatClass.NOR).sum())
         assert n_nor == 75
 
     def test_size_error(self):
@@ -295,8 +374,8 @@ class TestBuildSplit:
         half = (n + 1) // 2
         size = data.draw(st.one_of(st.none(), st.integers(0, n),
                                    st.sampled_from([1, 2, 3, n // 4, n // 2, half])))
-        segs = [sg.BeatSegment(np.zeros(0, np.float32), c, f"r{i % 3}", i)
-                for i, c in enumerate(labels)]
+        segs = sg.Beats(np.zeros((n, 0), np.float32), np.array(labels, np.int64),
+                        np.array([f"r{i % 3}" for i in range(n)], object), np.arange(n))
         outcomes = []
         for split in (oracle_split, lambda *a: split_keys(sg.build_split(*a))):
             try:
@@ -314,17 +393,42 @@ class TestBuildSplit:
 
 class TestDatasetFile:
     def test_roundtrip(self, tmp_path):
-        segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(23)]
+        segs = make_beats(23)
         path = tmp_path / "x.ecgb"
         sg.save_segments(segs, path)
         loaded = sg.load_segments(path)
         assert len(loaded) == 23
-        for a, b in zip(segs, loaded):
-            assert a.key == b.key and a.label == b.label
-            assert np.array_equal(a.samples, np.asarray(b.samples, dtype=np.float32))
+        assert keys(loaded) == keys(segs)
+        assert np.array_equal(loaded.labels, segs.labels)
+        assert loaded.samples.dtype == np.float32
+        assert np.array_equal(loaded.samples, segs.samples)
+
+    def test_mixed_length_ids_equal_to_oracle(self, tmp_path):
+        ids = ["", "1", "100", "x" * 300, "ü", "1", "232"]
+        segs = sg.Beats.concat([make_segment(BeatClass(i % 5), rid, 7 * i + 2**31, i)
+                                for i, rid in enumerate(ids)])
+        path = tmp_path / "m.ecgb"
+        sg.save_segments(segs, path)
+        want = oracle_load(path.read_bytes())
+        loaded = sg.load_segments(path)
+        assert keys(loaded) == [(rid, ann) for rid, ann, _, _ in want]
+        assert loaded.labels.tolist() == [int(label) for _, _, label, _ in want]
+        assert loaded.samples.tobytes() == np.stack([s for *_, s in want]).tobytes()
+        sg.save_segments(loaded, tmp_path / "again.ecgb")
+        assert (tmp_path / "again.ecgb").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("label", [5, 255])
+    def test_label_out_of_range(self, tmp_path, label):
+        p = tmp_path / "l.ecgb"
+        sg.save_segments(make_beats(3), p)
+        data = bytearray(p.read_bytes())
+        data[10 + (2 + 3 + 725) + 2 + 3 + 4] = label  # second beat's label byte
+        p.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=f"label {label}"):
+            sg.load_segments(p)
 
     def test_byte_identical_rewrites(self, tmp_path):
-        segs = [make_segment(ann=i, seed=i) for i in range(7)]
+        segs = make_beats(7, classes=1)
         p1, p2 = tmp_path / "a.ecgb", tmp_path / "b.ecgb"
         sg.save_segments(segs, p1)
         sg.save_segments(segs, p2)
@@ -337,7 +441,7 @@ class TestDatasetFile:
             sg.load_segments(p)
 
     def test_truncated(self, tmp_path):
-        segs = [make_segment(ann=i, seed=i) for i in range(5)]
+        segs = make_beats(5, classes=1)
         p = tmp_path / "t.ecgb"
         sg.save_segments(segs, p)
         p.write_bytes(p.read_bytes()[:-100])
@@ -347,20 +451,21 @@ class TestDatasetFile:
     @pytest.mark.parametrize("cut", [4, 5, 9])
     def test_short_header(self, tmp_path, cut):
         p = tmp_path / "s.ecgb"
-        sg.save_segments([make_segment()], p)
+        sg.save_segments(make_segment(), p)
         p.write_bytes(p.read_bytes()[:cut])
         with pytest.raises(ParseError, match="truncated"):
             sg.load_segments(p)
 
     def test_zero_beats_roundtrip(self, tmp_path):
         p = tmp_path / "z.ecgb"
-        sg.save_segments([], p)
-        assert sg.load_segments(p) == []
+        sg.save_segments(sg.Beats.concat([]), p)
+        loaded = sg.load_segments(p)
+        assert len(loaded) == 0 and loaded.samples.shape == (0, 180)
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_trailing_bytes(self, tmp_path, n):
         p = tmp_path / "g.ecgb"
-        sg.save_segments([make_segment(ann=i, seed=i) for i in range(n)], p)
+        sg.save_segments(make_beats(n, classes=1), p)
         p.write_bytes(p.read_bytes() + b"garbage")
         with pytest.raises(ParseError, match="7 bytes after"):
             sg.load_segments(p)
@@ -376,7 +481,7 @@ def _valid_file_bytes(tmp_path):
     p = tmp_path / "valid.ecgb"
     segs = [make_segment(label=BeatClass(i), record_id="1" * i, ann=i, seed=i)
             for i in range(3)]
-    sg.save_segments(segs, p)
+    sg.save_segments(sg.Beats.concat(segs), p)
     return p.read_bytes()
 
 
@@ -414,16 +519,17 @@ class TestLoadSegmentsFuzz:
             loaded = _load_bytes(tmp_path, bytes(valid))
         except ParseError:
             return
-        assert all(isinstance(b, sg.BeatSegment) for b in loaded)
+        assert ((loaded.labels >= 0) & (loaded.labels < len(BeatClass))).all()
+        assert loaded.samples.shape == (len(loaded), 180)
+        assert loaded.samples.dtype == np.float32
 
 
 class TestArrays:
     def test_shapes_and_dtype(self):
-        segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(6)]
-        x, y = sg.segments_to_arrays(segs)
+        x, y = sg.segments_to_arrays(make_beats(6))
         assert x.shape == (6, 1, 180) and x.dtype == np.float32
         assert y.tolist() == [0, 1, 2, 3, 4, 0]
 
     def test_empty_raises_size_error(self):
         with pytest.raises(SizeError, match="empty"):
-            sg.segments_to_arrays([])
+            sg.segments_to_arrays(sg.Beats.concat([]))

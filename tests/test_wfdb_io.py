@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ecgres import cli
 from ecgres import wfdb_io as wf
-from ecgres.errors import ParseError, RangeError, SelectionError, TruncatedSignal, UnsupportedFormat
+from ecgres.errors import (EcgresError, ParseError, RangeError, SelectionError, TruncatedSignal,
+                           UnsupportedFormat)
 
 from conftest import MITDB_DIR, requires_mitdb
 
@@ -67,6 +68,64 @@ class TestParseHeader:
     def test_bad_signal_fields_raise_parse_error(self, line):
         with pytest.raises(ParseError, match="line 2"):
             wf.parse_header(f"x 1 360 1000\n{line}\n")
+
+    @pytest.mark.parametrize("fs", ["inf", "-inf", "nan", "1e400", "inf/128", "inf(0)"])
+    def test_non_finite_frequency_raises_parse_error(self, fs):
+        with pytest.raises(ParseError, match="line 1"):
+            wf.parse_header(f"x 1 {fs} 1000\nx.dat 212 200 11 1024 0 0 0 MLII\n")
+
+    @pytest.mark.parametrize("gain", ["inf", "-inf", "nan", "1e400", "inf(1024)/mV"])
+    def test_non_finite_gain_raises_parse_error(self, gain):
+        with pytest.raises(ParseError, match="line 2.*not finite"):
+            wf.parse_header(f"x 1 360 1000\nx.dat 212 {gain} 11 1024 0 0 0 MLII\n")
+
+    def test_infinite_frequency_ingest_exit_2(self, synth_db_small, tmp_path):
+        for ext in ("dat", "atr"):
+            shutil.copy(synth_db_small / f"100.{ext}", tmp_path / f"100.{ext}")
+        lines = (synth_db_small / "100.hea").read_text().splitlines()
+        lines[0] = "100 2 inf " + lines[0].split()[3]
+        (tmp_path / "100.hea").write_text("\n".join(lines) + "\n")
+        argv = ["ingest", "--data-dir", str(tmp_path), "--output-dir", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+
+
+# Tokens that header fields take, valid or not; `text` adds arbitrary ones.
+HEADER_TOKENS = st.one_of(
+    st.sampled_from(["100", "x.dat", "2", "1", "0", "-1", "360", "360/128", "360(0)",
+                     "212", "212x1", "16", "200(1024)/mV", "inf", "-inf", "nan", "1e400",
+                     "1.5", "99999999999999999999", "MLII", "V5", "0:0:0", "#", ""]),
+    st.text(max_size=6),
+)
+
+
+class TestParseHeaderFuzz:
+    """Whatever the text, `parse_header` returns a header with finite numbers
+    or raises an `EcgresError`."""
+
+    @staticmethod
+    def _parse(text):
+        try:
+            h = wf.parse_header(text)
+        except EcgresError:
+            return
+        assert h.num_signals == len(h.signals) > 0 and h.num_samples > 0
+        assert all(np.isfinite(s.gain) for s in h.signals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(max_size=200),
+                     st.lists(st.lists(HEADER_TOKENS, max_size=10).map(" ".join),
+                              max_size=4).map("\n".join)))
+    def test_arbitrary_text(self, text):
+        self._parse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_token_substitutions(self, data):
+        lines = [ln.split() for ln in HEADER_100.splitlines()[:3]]
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = lines[data.draw(st.integers(0, 2))]
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(HEADER_TOKENS)
+        self._parse("\n".join(" ".join(row) for row in lines))
 
 
 class TestFormat212:
