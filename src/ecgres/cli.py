@@ -22,22 +22,7 @@ from . import metrics as me
 from . import model as md
 from . import segment as sg
 from . import wfdb_io as wf
-from .errors import (
-    BoundarySkip,
-    CheckpointError,
-    EcgresError,
-    NumericError,
-    ParameterError,
-    ParseError,
-    SelectionError,
-    ShapeError,
-    SizeError,
-)
-
-EXIT_INPUT = 2
-EXIT_PIPELINE = 3
-EXIT_NUMERIC = 4
-EXIT_COMPAT = 5
+from .errors import BoundarySkip, EcgresError, ParseError, SizeError
 
 DATA_DIR_ENV = "ECGRES_DATA_DIR"
 
@@ -96,57 +81,71 @@ class RunConfig:
         return cfg
 
 
-def _load_selected(cfg: RunConfig):
+def _record_names(cfg: RunConfig) -> list[str]:
     names = wf.discover_records(cfg.data_dir)
     if not names:
         raise ParseError(f"no .hea files found in {cfg.data_dir}")
-    records = [wf.load_record(cfg.data_dir, n) for n in names]
-    return names, wf.select_dataset(records)
+    return names
+
+
+def _select(cfg: RunConfig, name: str) -> wf.Selection:
+    """The selection of one record; the record itself is dropped on return."""
+    return wf.select_dataset([wf.load_record(cfg.data_dir, name)])
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    names, index = _load_selected(cfg)
+    names = _record_names(cfg)
+    index_doc, labels = [], []
+    for name in names:
+        sel = _select(cfg, name)
+        labels.append(sel.labels)
+        index_doc += [
+            {"record": rid, "channel": channel, "sample_index": center, "code": "NLRAV"[label]}
+            for rid, channel, center, label in zip(sel.record_ids.tolist(), sel.channels.tolist(),
+                                                   sel.centers.tolist(), sel.labels.tolist())
+        ]
     excluded = sorted(set(names) & wf.EXCLUDED_RECORDS)
-    selected = sorted({ref.record.name for ref in index})
-    counts = wf.class_counts(np.array([ref.label for ref in index], dtype=np.int64))
+    selected = sorted({row["record"] for row in index_doc})
+    counts = wf.class_counts(np.concatenate(labels))
 
     print(f"records found:    {len(names)}")
     print(f"records selected: {len(selected)}")
     print(f"records excluded: {len(excluded)} ({', '.join(excluded) or 'none'})")
     for name, n in counts.items():
         print(f"  {name:5s} {n}")
-    print(f"total beats: {len(index)}")
+    print(f"total beats: {len(index_doc)}")
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    index_doc = [
-        {
-            "record": ref.record.name,
-            "channel": ref.channel,
-            "sample_index": ref.annotation.sample_index,
-            "code": ref.annotation.code,
-        }
-        for ref in index
-    ]
     atomic.write_bytes(out_dir / "beat_index.json", (json.dumps(index_doc) + "\n").encode())
     print(f"wrote {out_dir / 'beat_index.json'}")
     return 0
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
-    _, index = _load_selected(cfg)
+def _segment_records(cfg: RunConfig) -> tuple[sg.Beats, int]:
+    """The beats of every record, cut one record at a time in name order, and
+    the boundary skips. The per-record tables are dropped on return."""
     policy = dn.ThresholdPolicy(mode=cfg.threshold_mode)
-    beats, skips = sg.segment_record_beats(
-        index, levels=cfg.levels, window=cfg.window, policy=policy
-    )
+    tables, skips = [], 0
+    for name in _record_names(cfg):
+        beats, n = sg.segment_record_beats(_select(cfg, name), levels=cfg.levels,
+                                           window=cfg.window, policy=policy)
+        tables.append(beats)
+        skips += n
+    return sg.Beats.concat(tables), skips
+
+
+def cmd_preprocess(cfg: RunConfig) -> int:
+    beats, skips = _segment_records(cfg)
     split = sg.build_split(beats, cfg.seed, cfg.per_set_size)
+    total, beats = len(beats), None  # the sets are copies; free the full table before writing
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sg.save_segments(split.train, out_dir / "train.ecgb")
     sg.save_segments(split.test, out_dir / "test.ecgb")
 
-    print(f"segments: {len(beats)} (boundary skips: {skips})")
+    print(f"segments: {total} (boundary skips: {skips})")
     for part, rows in (("train", split.train), ("test", split.test)):
         pretty = "  ".join(f"{k}={v}" for k, v in wf.class_counts(rows.labels).items())
         print(f"{part}: {len(rows)} beats  {pretty}")
@@ -220,26 +219,25 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str, dataset: str) -> int:
 
 def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: int) -> int:
     model = md.load_checkpoint(checkpoint)
-    rec = wf.load_record(cfg.data_dir, record)
-    index = wf.select_dataset([rec])
-    if not (0 <= annotation_index < len(index)):
+    selection = _select(cfg, record)
+    if not (0 <= annotation_index < len(selection)):
         raise ParseError(
             f"annotation index {annotation_index} out of range "
-            f"(record {record} has {len(index)} eligible beats)"
+            f"(record {record} has {len(selection)} eligible beats)"
         )
-    ref = index[annotation_index]
+    row = selection[annotation_index:annotation_index + 1]
     beats, _ = sg.segment_record_beats(
-        [ref], levels=cfg.levels, window=cfg.window,
+        row, levels=cfg.levels, window=cfg.window,
         policy=dn.ThresholdPolicy(mode=cfg.threshold_mode),
     )
     if not beats:
         raise BoundarySkip(
             f"beat {annotation_index} of record {record} (sample "
-            f"{ref.annotation.sample_index}) is within {sg.HALF_WINDOW} samples of an end"
+            f"{row.centers[0]}) is within {sg.HALF_WINDOW} samples of an end"
         )
     pred, probs = md.predict_batch(model, sg.segments_to_arrays(beats)[0])
     print(f"record {record}, beat {annotation_index} "
-          f"(sample {ref.annotation.sample_index}, annotated {ref.annotation.code})")
+          f"(sample {row.centers[0]}, annotated {'NLRAV'[row.labels[0]]})")
     print(f"predicted: {wf.BeatClass(pred[0]).name}")
     for c in wf.BeatClass:
         print(f"  {c.name:5s} {probs[0, c]:.4f}")
@@ -309,18 +307,12 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args.checkpoint, args.record, args.annotation_index)
         raise AssertionError(args.command)
-    except (CheckpointError, ShapeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_COMPAT
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ParseError, ParameterError, SelectionError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except EcgresError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PIPELINE
+        return e.exit_code
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

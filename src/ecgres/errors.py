@@ -2,13 +2,16 @@
 
 
 class EcgresError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors; `exit_code` is the CLI's exit status:
+    2 input/data, 3 pipeline, 4 numeric, 5 checkpoint/compatibility."""
+
+    exit_code = 3
 
 
 # --- parsing / ingest ---
 
 class ParseError(EcgresError):
-    pass
+    exit_code = 2
 
 
 class UnsupportedFormat(ParseError):
@@ -26,6 +29,8 @@ class RangeError(ParseError):
 class SelectionError(EcgresError):
     """A record required by the dataset selection is unusable."""
 
+    exit_code = 2
+
 
 # --- signal processing ---
 
@@ -34,7 +39,7 @@ class LengthError(EcgresError):
 
 
 class ParameterError(EcgresError):
-    pass
+    exit_code = 2
 
 
 # --- segmentation / datasets ---
@@ -50,7 +55,7 @@ class SizeError(EcgresError):
 # --- tensor engine / model ---
 
 class ShapeError(EcgresError):
-    pass
+    exit_code = 5
 
 
 class LabelError(EcgresError):
@@ -60,13 +65,15 @@ class LabelError(EcgresError):
 class NumericError(EcgresError):
     """Non-finite value encountered during training."""
 
+    exit_code = 4
+
 
 class ConfigError(EcgresError):
     pass
 
 
 class CheckpointError(EcgresError):
-    pass
+    exit_code = 5
 
 
 # --- evaluation / reporting ---

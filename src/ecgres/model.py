@@ -24,11 +24,13 @@ from . import atomic, nn
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .segment import DatasetSplit, segments_to_arrays
 
-# Inference runs in chunks of at least this many rows: the activations of a
-# chunk stay small enough to be reused rather than mapped fresh, and OpenBLAS
-# switches fc2's (rows x 64)·(64 x 5) product to a kernel with different
-# rounding below ~255 rows, so a short trailing chunk would change logits.
-# np.array_split spreads the remainder over the chunks instead.
+# Inference runs in chunks of at least this many rows, so activation memory
+# does not grow with the batch. The chunks are not small: conv1's 256 x 18 x 90
+# float64 output is ~3.3 MB, above glibc's 128 KiB mmap threshold, so a chunk
+# may fault in fresh pages instead of reusing the last one's. On OpenBLAS's
+# SkylakeX kernels, fc2's (rows x 64)·(64 x 5) product switches to a kernel
+# with different rounding below ~255 rows, so a short trailing chunk would
+# change logits; np.array_split spreads the remainder over the chunks instead.
 PREDICT_ROWS = 256
 
 
@@ -212,12 +214,12 @@ def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
                 loss, probs, grad = nn.softmax_cross_entropy(logits, yb)
                 if not np.isfinite(loss):
                     raise NumericError("non-finite loss")
+                model.backward(grad)
+                opt.step(model.params(), model.grads())
             except NumericError as e:
                 raise NumericError(
                     f"epoch {epoch}, batch {start // tc.batch_size}: {e}"
                 ) from e
-            model.backward(grad)
-            opt.step(model.params(), model.grads())
             losses.append(loss)
             correct += int((logits.argmax(axis=1) == yb).sum())
         test_acc = None

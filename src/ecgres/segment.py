@@ -17,7 +17,7 @@ import numpy as np
 from . import atomic
 from . import denoise as dn
 from .errors import ParseError, SizeError
-from .wfdb_io import BeatClass, BeatRef
+from .wfdb_io import BeatClass, Selection
 
 WINDOW_SAMPLES = 200
 SEGMENT_SAMPLES = 180
@@ -94,30 +94,24 @@ def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
 
 
 def segment_record_beats(
-    refs: list[BeatRef],
+    selection: Selection,
     levels: int = dn.DEFAULT_LEVELS,
     window: int = dn.DEFAULT_BASELINE_WINDOW,
     policy: dn.ThresholdPolicy = dn.ThresholdPolicy(),
 ) -> tuple[Beats, int]:
-    """Denoise each referenced record once, then cut its beats.
+    """Denoise the lead of each record with selected rows once, in name
+    order, then cut that record's beats.
 
     Returns (beats, boundary_skips).
     """
-    by_record: dict[str, list[BeatRef]] = {}
-    for ref in refs:
-        by_record.setdefault(ref.record.name, []).append(ref)
-
     tables, skips = [], 0
-    for name in sorted(by_record):
-        group = by_record[name]
-        channel = dn.denoise(group[0].record.channels[group[0].channel],
-                             levels=levels, window=window, policy=policy)
-        centers = np.array([r.annotation.sample_index for r in group], dtype=np.int64)
-        samples, kept = cut_beats(channel, centers)
-        skips += len(group) - len(samples)
-        labels = np.array([r.label for r in group], dtype=np.int64)[kept]
-        tables.append(Beats(samples, labels, np.full(len(samples), name, dtype=object),
-                            centers[kept]))
+    for name in sorted(set(selection.record_ids)):
+        rows = selection[selection.record_ids == name]
+        channel = dn.denoise(selection.leads[name], levels=levels, window=window, policy=policy)
+        samples, kept = cut_beats(channel, rows.centers)
+        skips += len(rows) - len(samples)
+        tables.append(Beats(samples, rows.labels[kept], np.full(len(samples), name, dtype=object),
+                            rows.centers[kept]))
     return Beats.concat(tables), skips
 
 

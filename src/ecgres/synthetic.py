@@ -12,13 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .wfdb_io import (
-    BeatAnnotation,
-    EXCLUDED_RECORDS,
-    MITBIH_RECORDS,
-    encode_annotations,
-    encode_format212,
-)
+from .wfdb_io import EXCLUDED_RECORDS, MITBIH_RECORDS, encode_annotations, encode_format212
 
 FS = 360
 GAIN = 200.0
@@ -89,8 +83,7 @@ def write_record(data_dir, name, duration_s=600, seed=0, lead="MLII"):
     )
     (data_dir / f"{name}.hea").write_text(header)
 
-    anns = [BeatAnnotation(c, s) for c, s in zip(centers, codes)]
-    (data_dir / f"{name}.atr").write_bytes(encode_annotations(anns))
+    (data_dir / f"{name}.atr").write_bytes(encode_annotations(centers, codes))
     return codes
 
 

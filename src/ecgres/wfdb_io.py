@@ -60,13 +60,9 @@ class BeatClass(IntEnum):
     PVC = 4
 
 
-BEAT_CODE_TO_CLASS = {
-    "N": BeatClass.NOR,
-    "L": BeatClass.LBBB,
-    "R": BeatClass.RBBB,
-    "A": BeatClass.APC,
-    "V": BeatClass.PVC,
-}
+# MIT type code -> BeatClass id; -1 for every code outside the five classes.
+CODE_TO_CLASS = np.full(64, -1, dtype=np.int64)
+CODE_TO_CLASS[[1, 2, 3, 8, 5]] = list(BeatClass)  # N, L, R, A, V
 
 
 @dataclass(frozen=True)
@@ -88,33 +84,34 @@ class RecordHeader:
 
 
 @dataclass(frozen=True)
-class BeatAnnotation:
-    sample_index: int
-    code: str
-
-
-@dataclass(frozen=True)
 class EcgRecord:
     header: RecordHeader
     channels: tuple[np.ndarray, ...]  # millivolts, float64
-    annotations: tuple[BeatAnnotation, ...]
+    ann_samples: np.ndarray  # (n,) int64 annotation sample indices
+    ann_codes: np.ndarray    # (n,) uint8 MIT annotation type codes
 
     @property
     def name(self) -> str:
         return self.header.record_name
 
 
-@dataclass(frozen=True)
-class BeatRef:
-    """One selected beat: which record/channel it lives in and its annotation."""
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """The selected beats as columns, one row per beat, and the MLII lead of
+    each record a row comes from. Indexing takes rows and keeps the leads."""
 
-    record: EcgRecord = field(repr=False)
-    channel: int
-    annotation: BeatAnnotation
+    record_ids: np.ndarray  # (n,) object array of record-name str
+    channels: np.ndarray    # (n,) int64 MLII channel index in its record
+    centers: np.ndarray     # (n,) int64 R-peak sample index
+    labels: np.ndarray      # (n,) int64 BeatClass ids
+    leads: dict[str, np.ndarray] = field(repr=False)  # record name -> MLII lead, mV
 
-    @property
-    def label(self) -> BeatClass:
-        return BEAT_CODE_TO_CLASS[self.annotation.code]
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> Selection:
+        return Selection(self.record_ids[rows], self.channels[rows], self.centers[rows],
+                         self.labels[rows], self.leads)
 
 
 def parse_header(text: str) -> RecordHeader:
@@ -218,14 +215,17 @@ def encode_format212(ch1: np.ndarray, ch2: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def parse_annotations(data: bytes, num_samples: int | None = None) -> tuple[BeatAnnotation, ...]:
-    """Parse a MIT-format .atr byte stream into beat annotations.
+def parse_annotations(data: bytes, num_samples: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a MIT-format .atr byte stream into (int64 sample indices, uint8
+    type codes) of its annotations.
 
     Words are 2-byte little-endian; top 6 bits are the type code, bottom 10
     the sample-index increment. SKIP/NUM/SUB/CHN/AUX pseudo-annotations are
     consumed without being emitted. The stream ends with a zero word.
     """
-    out: list[BeatAnnotation] = []
+    samples: list[int] = []
+    codes: list[int] = []
     pos = 0
     sample = 0
     pending_skip = 0
@@ -262,20 +262,22 @@ def parse_annotations(data: bytes, num_samples: int | None = None) -> tuple[Beat
                 raise RangeError(
                     f"annotation at sample {sample} outside record of {num_samples} samples"
                 )
-            out.append(BeatAnnotation(sample, ANNOTATION_SYMBOLS.get(code, f"?{code}")))
+            samples.append(sample)
+            codes.append(code)
     if not terminated:
         raise ParseError("annotation stream missing zero terminator")
-    return tuple(out)
+    return np.array(samples, dtype=np.int64), np.array(codes, dtype=np.uint8)
 
 
-def encode_annotations(annotations) -> bytes:
-    """Inverse of parse_annotations for {symbol in ANNOTATION_SYMBOLS} codes."""
+def encode_annotations(samples, symbols) -> bytes:
+    """Inverse of parse_annotations, from sample indices and their symbols
+    (values of ANNOTATION_SYMBOLS)."""
     sym_to_code = {v: k for k, v in ANNOTATION_SYMBOLS.items()}
     chunks = []
     prev = 0
-    for ann in annotations:
-        code = sym_to_code[ann.code]
-        inc = ann.sample_index - prev
+    for sample, symbol in zip(samples, symbols):
+        code = sym_to_code[symbol]
+        inc = sample - prev
         if inc < 0:
             raise ParseError("annotations must be in increasing sample order")
         if inc > 0x3FF:
@@ -284,7 +286,7 @@ def encode_annotations(annotations) -> bytes:
             chunks.append(int.to_bytes(inc & 0xFFFF, 2, "little"))
             inc = 0
         chunks.append(int.to_bytes((code << 10) | inc, 2, "little"))
-        prev = ann.sample_index
+        prev = sample
     chunks.append(b"\x00\x00")
     return b"".join(chunks)
 
@@ -313,10 +315,10 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     channels = []
     for spec, raw in zip(header.signals, (raw1, raw2)):
         channels.append((raw.astype(np.float64) - spec.adc_zero) / spec.gain)
-    annotations = parse_annotations(
+    ann_samples, ann_codes = parse_annotations(
         (data_dir / f"{name}.atr").read_bytes(), header.num_samples
     )
-    return EcgRecord(header, tuple(channels), annotations)
+    return EcgRecord(header, tuple(channels), ann_samples, ann_codes)
 
 
 def discover_records(data_dir: str | Path) -> list[str]:
@@ -324,14 +326,14 @@ def discover_records(data_dir: str | Path) -> list[str]:
     return sorted(p.stem for p in Path(data_dir).glob("*.hea"))
 
 
-def select_dataset(records) -> list[BeatRef]:
-    """Build the flat beat index used by the paper's protocol.
+def select_dataset(records) -> Selection:
+    """The beats of the paper's protocol, as one `Selection`.
 
     Drops records 102/104/107/217, keeps only the MLII channel, and keeps
     only annotations coded N/L/R/A/V. Beats with any other code are dropped
     silently.
     """
-    index: list[BeatRef] = []
+    ids, channels, centers, labels, leads = [], [], [], [], {}
     for rec in records:
         if rec.name in EXCLUDED_RECORDS:
             continue
@@ -341,10 +343,17 @@ def select_dataset(records) -> list[BeatRef]:
                 f"record {rec.name} has no {LEAD_NAME} channel (leads: {descriptions})"
             )
         channel = descriptions.index(LEAD_NAME)
-        for ann in rec.annotations:
-            if ann.code in BEAT_CODE_TO_CLASS:
-                index.append(BeatRef(rec, channel, ann))
-    return index
+        label = CODE_TO_CLASS[rec.ann_codes]
+        rows = np.flatnonzero(label >= 0)
+        if len(rows):
+            leads[rec.name] = rec.channels[channel]
+        ids += [rec.name] * len(rows)
+        channels += [channel] * len(rows)
+        centers += rec.ann_samples[rows].tolist()
+        labels += label[rows].tolist()
+    return Selection(np.array(ids, dtype=object), np.array(channels, dtype=np.int64),
+                     np.array(centers, dtype=np.int64), np.array(labels, dtype=np.int64),
+                     leads)
 
 
 def class_counts(labels: np.ndarray) -> dict[str, int]:

@@ -55,15 +55,22 @@ def synth_db_small(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def synth_index(synth_db):
-    records = [wf.load_record(synth_db, n) for n in wf.discover_records(synth_db)]
-    return wf.select_dataset(records)
+def synth_selection(synth_db):
+    """The selected beats of record 100 of the synthetic database."""
+    return wf.select_dataset([wf.load_record(synth_db, "100")])
+
+
+def segment_database(data_dir):
+    """Every record's beats, cut one record at a time as `ecgres preprocess` does."""
+    return sg.Beats.concat([
+        sg.segment_record_beats(wf.select_dataset([wf.load_record(data_dir, n)]))[0]
+        for n in wf.discover_records(data_dir)
+    ])
 
 
 @pytest.fixture(scope="session")
-def synth_segments(synth_index):
-    segments, _ = sg.segment_record_beats(synth_index)
-    return segments
+def synth_segments(synth_db):
+    return segment_database(synth_db)
 
 
 def fd_gradient(f, x, h=1e-3):

@@ -1,17 +1,20 @@
 import dataclasses
+import itertools
 import json
 import re
 import shlex
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecgres import cli
+from ecgres import cli, errors
 from ecgres import model as md
 from ecgres import segment as sg
+from ecgres import wfdb_io as wf
 
 from test_segment import keys, write_edge_record
 
@@ -372,6 +375,53 @@ class TestRunConfig:
                   "--limit", -1])
         assert rc == 2
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "preprocess"])
+def test_reads_one_record_at_a_time(command, synth_db_small, tmp_path, monkeypatch):
+    """No two loaded records are alive at once: each is dropped before the next loads."""
+    live, alive_at_load, ids = set(), [], itertools.count()
+    real = wf.load_record
+
+    def load_record(*args, **kwargs):
+        rec = real(*args, **kwargs)
+        key = next(ids)
+        live.add(key)
+        weakref.finalize(rec, live.discard, key)
+        alive_at_load.append(len(live))
+        return rec
+
+    monkeypatch.setattr(wf, "load_record", load_record)
+    assert run([command, "--data-dir", synth_db_small, "--output-dir", tmp_path]) == 0
+    assert len(alive_at_load) == len(wf.discover_records(synth_db_small)) >= 4
+    assert max(alive_at_load) == 1
+
+
+# The exit code of every error class, and of OSError, as `main` maps them.
+EXIT_CODES = [
+    (errors.EcgresError, 3), (errors.ParseError, 2), (errors.UnsupportedFormat, 2),
+    (errors.TruncatedSignal, 2), (errors.RangeError, 2), (errors.SelectionError, 2),
+    (errors.LengthError, 3), (errors.ParameterError, 2), (errors.BoundarySkip, 3),
+    (errors.SizeError, 3), (errors.ShapeError, 5), (errors.LabelError, 3),
+    (errors.NumericError, 4), (errors.ConfigError, 3), (errors.CheckpointError, 5),
+    (errors.InputError, 3), (errors.IoError, 3), (OSError, 2),
+]
+
+
+@pytest.mark.parametrize("cls, code", EXIT_CODES, ids=[c.__name__ for c, _ in EXIT_CODES])
+def test_error_class_exit_code(cls, code, monkeypatch, capsys):
+    def fail(cfg):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_ingest", fail)
+    assert cli.main(["ingest"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    pinned = {cls for cls, _ in EXIT_CODES}
+    assert {c for c in vars(errors).values()
+            if isinstance(c, type) and issubclass(c, errors.EcgresError)} <= pinned
 
 
 def test_full_protocol_script_flags_parse():

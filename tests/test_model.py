@@ -6,7 +6,7 @@ import pytest
 from ecgres import model as md
 from ecgres import nn
 from ecgres import segment as sg
-from ecgres.errors import CheckpointError, ConfigError, ShapeError
+from ecgres.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from ecgres.wfdb_io import BeatClass
 
 from conftest import fd_gradient, rel_error
@@ -216,6 +216,24 @@ class TestTrain:
         digest = hashlib.sha256(b"".join(p.tobytes() for p in m.params().values()))
         assert digest.hexdigest() == (
             "4358f7d30a95d88d17e3f379a09e12f54a44c188dfd984484a61eed1aef78552")
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_non_finite_gradient_names_epoch_and_batch(self, optimizer, monkeypatch):
+        # fc2's backward turns non-finite on its 7th call (epoch 2, batch 1 of
+        # 5); the optimizer step rejects the gradient and says where it was
+        m = md.build_model(md.ModelConfig(seed=0))
+        real, calls = m.fc2.backward, []
+
+        def backward(g):
+            calls.append(g)
+            return real(g) * (np.inf if len(calls) == 7 else 1.0)
+
+        monkeypatch.setattr(m.fc2, "backward", backward)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=r"^epoch 2, batch 1: non-finite values in gradient of "):
+            md.train(m, self._toy_split(40),
+                     md.TrainConfig(epochs=2, batch_size=8, optimizer=optimizer))
+        assert len(calls) == 7
 
     def test_overfits_small_subset(self, synth_segments):
         # capacity check: 50 beats to 100% train accuracy within 200 epochs

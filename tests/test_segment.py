@@ -64,8 +64,7 @@ def write_edge_record(data_dir, name="100", num_samples=3600):
         f"{name} 2 360 {num_samples}\n"
         f"{name}.dat 212 200 11 1024 0 0 0 MLII\n"
         f"{name}.dat 212 200 11 1024 0 0 0 V5\n")
-    (data_dir / f"{name}.atr").write_bytes(
-        wf.encode_annotations([wf.BeatAnnotation(c, "N") for c in centers]))
+    (data_dir / f"{name}.atr").write_bytes(wf.encode_annotations(centers, "NNN"))
     return centers
 
 
@@ -216,13 +215,12 @@ class TestExtractWindow:
         assert cut_one(np.arange(1000.0), 901) is None
         assert cut_one(np.arange(1000.0), 900) is not None
 
-    def test_peak_centered(self, synth_index):
+    def test_peak_centered(self, synth_selection):
         # R annotations sit at the beat peak; check the segment max lands
         # within a few samples of center for a clean tall beat
-        ref = next(r for r in synth_index if r.annotation.code == "N"
-                   and r.annotation.sample_index > 200)
-        channel = ref.record.channels[ref.channel]
-        out = cut_one(channel, ref.annotation.sample_index)
+        sel = synth_selection
+        row = np.flatnonzero((sel.labels == BeatClass.NOR) & (sel.centers > 200))[0]
+        out = cut_one(sel.leads[sel.record_ids[row]], sel.centers[row])
         assert abs(int(np.argmax(out)) - 90) <= 5
 
 
@@ -297,10 +295,9 @@ class TestSegmentRecords:
         assert len({len(synth_segments.samples), len(synth_segments.labels),
                     len(synth_segments.record_ids), len(synth_segments.annotation_index)}) == 1
 
-    def test_deterministic(self, synth_index):
-        subset = [r for r in synth_index if r.record.name == "100"]
-        a, _ = sg.segment_record_beats(subset)
-        b, _ = sg.segment_record_beats(subset)
+    def test_deterministic(self, synth_selection):
+        a, _ = sg.segment_record_beats(synth_selection)
+        b, _ = sg.segment_record_beats(synth_selection)
         assert len(a) == len(b) > 0
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.labels, b.labels)
@@ -308,11 +305,24 @@ class TestSegmentRecords:
 
     def test_boundary_beats_skipped(self, tmp_path):
         centers = write_edge_record(tmp_path)
-        refs = wf.select_dataset([wf.load_record(tmp_path, "100")])
-        assert [r.annotation.sample_index for r in refs] == centers
-        segments, skips = sg.segment_record_beats(refs)
+        sel = wf.select_dataset([wf.load_record(tmp_path, "100")])
+        assert sel.centers.tolist() == centers
+        segments, skips = sg.segment_record_beats(sel)
         assert skips == 2
         assert keys(segments) == [("100", centers[1])]
+
+    def test_records_in_name_order_each_denoised_once(self, synth_db_small, monkeypatch):
+        recs = [wf.load_record(synth_db_small, n) for n in ("105", "100", "103")]
+        sel = wf.select_dataset(recs)
+        calls = []
+        real = sg.dn.denoise
+        monkeypatch.setattr(sg.dn, "denoise", lambda x, **kw: calls.append(x) or real(x, **kw))
+        segments, skips = sg.segment_record_beats(sel)
+        assert [id(x) for x in calls] == [id(sel.leads[n]) for n in ("100", "103", "105")]
+        assert list(dict.fromkeys(segments.record_ids)) == ["100", "103", "105"]
+        one = [sg.segment_record_beats(wf.select_dataset([r])) for r in recs]
+        assert keys(segments) == keys(sg.Beats.concat([one[1][0], one[2][0], one[0][0]]))
+        assert skips == sum(n for _, n in one)
 
 
 class TestBuildSplit:

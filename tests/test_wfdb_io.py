@@ -1,4 +1,5 @@
 import shutil
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -188,65 +189,165 @@ class TestFormat212:
         assert wf.encode_format212(s1, s2) == data
 
 
+@dataclass(frozen=True)
+class Annotation:
+    sample_index: int
+    code: str
+
+
+def oracle_parse_annotations(data, num_samples=None):
+    """Reference reader: the one-object-per-annotation parser that the array
+    form of `parse_annotations` replaced."""
+    out = []
+    pos = 0
+    sample = 0
+    pending_skip = 0
+    terminated = False
+    while pos + 2 <= len(data):
+        word = data[pos] | (data[pos + 1] << 8)
+        pos += 2
+        code = word >> 10
+        interval = word & 0x3FF
+        if word == 0:
+            terminated = True
+            break
+        if code == 59:  # SKIP
+            if pos + 4 > len(data):
+                raise ParseError("truncated SKIP annotation")
+            high = data[pos] | (data[pos + 1] << 8)
+            low = data[pos + 2] | (data[pos + 3] << 8)
+            pos += 4
+            skip = (high << 16) | low
+            if skip >= 1 << 31:
+                skip -= 1 << 32
+            pending_skip += skip
+        elif code == 63:  # AUX
+            n = interval + (interval & 1)
+            if pos + n > len(data):
+                raise ParseError("truncated AUX annotation")
+            pos += n
+        elif code in (60, 61, 62):  # NUM, SUB, CHN
+            pass
+        else:
+            sample += interval + pending_skip
+            pending_skip = 0
+            if num_samples is not None and not (0 <= sample < num_samples):
+                raise RangeError(
+                    f"annotation at sample {sample} outside record of {num_samples} samples"
+                )
+            out.append(Annotation(sample, wf.ANNOTATION_SYMBOLS.get(code, f"?{code}")))
+    if not terminated:
+        raise ParseError("annotation stream missing zero terminator")
+    return tuple(out)
+
+
+def pairs(samples, codes):
+    """(sample, symbol) pairs of `parse_annotations` arrays, as the oracle names them."""
+    assert samples.dtype == np.int64 and codes.dtype == np.uint8
+    assert samples.shape == codes.shape
+    return [(s, wf.ANNOTATION_SYMBOLS.get(c, f"?{c}"))
+            for s, c in zip(samples.tolist(), codes.tolist())]
+
+
+def word(code, interval=0):
+    return int.to_bytes((code << 10) | interval, 2, "little")
+
+
+# One entry of a valid annotation stream: a beat or other annotation with its
+# increment (never the zero word), or a SKIP, NUM/SUB/CHN or AUX pseudo-annotation.
+ANNOTATION_ENTRY = st.one_of(
+    st.builds(lambda c, i: word(c, i),
+              st.one_of(st.sampled_from([1, 2, 3, 5, 8]), st.integers(1, 58)),
+              st.integers(0, 0x3FF)),
+    st.builds(lambda i: word(0, i), st.integers(1, 0x3FF)),
+    st.builds(lambda i, skip: word(59, i) + int.to_bytes((skip >> 16) & 0xFFFF, 2, "little")
+              + int.to_bytes(skip & 0xFFFF, 2, "little"),
+              st.integers(0, 0x3FF), st.integers(-(1 << 31), (1 << 31) - 1)),
+    st.builds(word, st.sampled_from([60, 61, 62]), st.integers(0, 0x3FF)),
+    st.builds(lambda text: word(63, len(text)) + text + b"\x00" * (len(text) & 1),
+              st.binary(max_size=9)),
+)
+VALID_STREAM = st.lists(ANNOTATION_ENTRY, max_size=30).map(lambda e: b"".join(e) + b"\x00\x00")
+
+
+def outcome(parse, data, num_samples):
+    """The parse result as (sample, symbol) pairs, or the ParseError type it raised."""
+    try:
+        result = parse(data, num_samples)
+    except ParseError as e:
+        return type(e)
+    return pairs(*result) if parse is wf.parse_annotations else [
+        (a.sample_index, a.code) for a in result]
+
+
 class TestAnnotations:
     def test_empty_stream(self):
-        assert wf.parse_annotations(b"\x00\x00") == ()
+        samples, codes = wf.parse_annotations(b"\x00\x00")
+        assert pairs(samples, codes) == []
 
     def test_missing_terminator(self):
-        word = int.to_bytes((1 << 10) | 5, 2, "little")
         with pytest.raises(ParseError):
-            wf.parse_annotations(word)
+            wf.parse_annotations(word(1, 5))
 
     def test_simple_sequence(self):
-        data = (
-            int.to_bytes((1 << 10) | 100, 2, "little")
-            + int.to_bytes((5 << 10) | 50, 2, "little")
-            + b"\x00\x00"
-        )
-        anns = wf.parse_annotations(data)
-        assert [(a.sample_index, a.code) for a in anns] == [(100, "N"), (150, "V")]
+        data = word(1, 100) + word(5, 50) + b"\x00\x00"
+        assert pairs(*wf.parse_annotations(data)) == [(100, "N"), (150, "V")]
 
     def test_skip_word_offsets_next_annotation(self):
         # hand-built stream: SKIP(70000) then N at +30 -> absolute 70030
         skip = 70000
         data = (
-            int.to_bytes(59 << 10, 2, "little")
+            word(59)
             + int.to_bytes((skip >> 16) & 0xFFFF, 2, "little")
             + int.to_bytes(skip & 0xFFFF, 2, "little")
-            + int.to_bytes((1 << 10) | 30, 2, "little")
+            + word(1, 30)
             + b"\x00\x00"
         )
-        anns = wf.parse_annotations(data)
-        assert [(a.sample_index, a.code) for a in anns] == [(70030, "N")]
+        assert pairs(*wf.parse_annotations(data)) == [(70030, "N")]
 
     def test_pseudo_annotations_consumed(self):
-        data = (
-            int.to_bytes((60 << 10) | 1, 2, "little")  # NUM
-            + int.to_bytes((62 << 10) | 1, 2, "little")  # CHN
-            + int.to_bytes((63 << 10) | 4, 2, "little") + b"abcd"  # AUX
-            + int.to_bytes((2 << 10) | 10, 2, "little")
-            + b"\x00\x00"
-        )
-        anns = wf.parse_annotations(data)
-        assert [(a.sample_index, a.code) for a in anns] == [(10, "L")]
+        data = word(60, 1) + word(62, 1) + word(63, 4) + b"abcd" + word(2, 10) + b"\x00\x00"
+        assert pairs(*wf.parse_annotations(data)) == [(10, "L")]
 
     def test_index_overflow_rejected(self):
-        data = int.to_bytes((1 << 10) | 500, 2, "little") + b"\x00\x00"
+        data = word(1, 500) + b"\x00\x00"
         with pytest.raises(RangeError):
             wf.parse_annotations(data, num_samples=400)
 
     def test_roundtrip(self):
-        anns = (
-            wf.BeatAnnotation(120, "N"),
-            wf.BeatAnnotation(130, "+"),
-            wf.BeatAnnotation(90000, "V"),
-        )
-        assert wf.parse_annotations(wf.encode_annotations(anns)) == anns
+        samples, symbols = [120, 130, 90000], ["N", "+", "V"]
+        assert pairs(*wf.parse_annotations(wf.encode_annotations(samples, symbols))) == list(
+            zip(samples, symbols))
 
     def test_strictly_increasing(self, synth_db_small):
         rec = wf.load_record(synth_db_small, "100")
-        idx = [a.sample_index for a in rec.annotations]
-        assert all(b > a for a, b in zip(idx, idx[1:]))
+        assert len(rec.ann_samples) and np.all(np.diff(rec.ann_samples) > 0)
+
+
+class TestParseAnnotationsFuzz:
+    """The array parser agrees with the object-building oracle, and only a
+    `ParseError` (`RangeError` included) escapes it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(VALID_STREAM, st.one_of(st.none(), st.integers(1, 1 << 20)))
+    def test_valid_streams_match_oracle(self, data, num_samples):
+        want = outcome(oracle_parse_annotations, data, num_samples)
+        assert outcome(wf.parse_annotations, data, num_samples) == want
+        if num_samples is None:
+            assert isinstance(want, list)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=120), st.one_of(st.none(), st.integers(1, 5000)))
+    def test_arbitrary_bytes(self, data, num_samples):
+        assert (outcome(wf.parse_annotations, data, num_samples)
+                == outcome(oracle_parse_annotations, data, num_samples))
+
+    @settings(max_examples=50, deadline=None)
+    @given(VALID_STREAM)
+    def test_every_truncation(self, data):
+        for end in range(len(data)):
+            assert (outcome(wf.parse_annotations, data[:end], None)
+                    == outcome(oracle_parse_annotations, data[:end], None))
 
 
 class TestLoadRecord:
@@ -292,24 +393,44 @@ class TestLoadRecord:
 
 
 class TestSelectDataset:
+    @staticmethod
+    def _select_all(data_dir):
+        names = wf.discover_records(data_dir)
+        return wf.select_dataset(wf.load_record(data_dir, n) for n in names)
+
     def test_excluded_records_absent(self, synth_db_small):
-        records = [wf.load_record(synth_db_small, n)
-                   for n in wf.discover_records(synth_db_small)]
-        index = wf.select_dataset(records)
-        names = {ref.record.name for ref in index}
+        sel = self._select_all(synth_db_small)
+        names = set(sel.record_ids)
         assert "102" not in names
-        assert names == {"100", "101", "103", "105", "106"}
+        assert names == set(sel.leads) == {"100", "101", "103", "105", "106"}
 
     def test_only_excluded_record_gives_empty_index(self, synth_db_small):
-        rec = wf.load_record(synth_db_small, "102")
-        assert wf.select_dataset([rec]) == []
+        sel = wf.select_dataset([wf.load_record(synth_db_small, "102")])
+        assert len(sel) == 0 and not sel.leads
+        for col in (sel.record_ids, sel.channels, sel.centers, sel.labels):
+            assert col.shape == (0,)
 
     def test_codes_restricted(self, synth_db_small):
-        records = [wf.load_record(synth_db_small, n)
-                   for n in wf.discover_records(synth_db_small)]
-        index = wf.select_dataset(records)
-        assert index
-        assert all(ref.annotation.code in "NLRAV" for ref in index)
+        sel = self._select_all(synth_db_small)
+        assert len(sel)
+        assert set(sel.labels.tolist()) <= set(wf.BeatClass)
+
+    def test_columns_match_annotations(self, synth_db_small):
+        rec = wf.load_record(synth_db_small, "105")
+        sel = wf.select_dataset([rec])
+        symbols = [wf.ANNOTATION_SYMBOLS[c] for c in rec.ann_codes.tolist()]
+        want = [(int(s), sym) for s, sym in zip(rec.ann_samples, symbols) if sym in "NLRAV"]
+        assert list(zip(sel.centers.tolist(), ("NLRAV"[k] for k in sel.labels))) == want
+        assert len(sel) == len(want) and set(sel.record_ids) == {"105"}
+        assert sel.channels.tolist() == [0] * len(sel)
+        assert sel.leads["105"] is rec.channels[0]
+        assert [c.dtype for c in (sel.channels, sel.centers, sel.labels)] == [np.int64] * 3
+
+    def test_rows_keep_leads(self, synth_db_small):
+        sel = self._select_all(synth_db_small)
+        rows = sel[sel.record_ids == "103"]
+        assert len(rows) == (sel.record_ids == "103").sum() > 0
+        assert rows.leads is sel.leads and set(rows.record_ids) == {"103"}
 
     def test_missing_mlii_raises(self, tmp_path):
         from ecgres import synthetic
@@ -325,11 +446,14 @@ class TestSelectDataset:
         synthetic.write_record(tmp_path, "998", duration_s=30, seed=1)
         # append a paced-beat annotation code to the stream
         rec = wf.load_record(tmp_path, "998")
-        anns = rec.annotations + (wf.BeatAnnotation(rec.header.num_samples - 10, "/"),)
-        (tmp_path / "998.atr").write_bytes(wf.encode_annotations(anns))
+        samples = [*rec.ann_samples.tolist(), rec.header.num_samples - 10]
+        symbols = [*(wf.ANNOTATION_SYMBOLS[c] for c in rec.ann_codes.tolist()), "/"]
+        (tmp_path / "998.atr").write_bytes(wf.encode_annotations(samples, symbols))
         rec = wf.load_record(tmp_path, "998")
-        index = wf.select_dataset([rec])
-        assert all(ref.annotation.code != "/" for ref in index)
+        assert rec.ann_codes[-1] == 12
+        sel = wf.select_dataset([rec])
+        assert len(sel) == len(rec.ann_codes) - 1
+        assert rec.header.num_samples - 10 not in sel.centers
 
 
 @requires_mitdb
@@ -350,18 +474,18 @@ class TestRealDatabase:
 
     def test_record_100_annotation_counts(self):
         rec = wf.load_record(MITDB_DIR, "100")
-        codes = [a.code for a in rec.annotations]
-        assert codes.count("N") == 2239
-        assert codes.count("A") == 33
-        assert codes.count("V") == 1
+        codes = rec.ann_codes.tolist()
+        assert codes.count(1) == 2239  # N
+        assert codes.count(8) == 33    # A
+        assert codes.count(5) == 1     # V
 
     def test_record_100_selected_codes(self):
         rec = wf.load_record(MITDB_DIR, "100")
-        index = wf.select_dataset([rec])
-        assert {ref.annotation.code for ref in index} == {"N", "A", "V"}
+        sel = wf.select_dataset([rec])
+        assert set(sel.labels.tolist()) == {wf.BeatClass.NOR, wf.BeatClass.APC, wf.BeatClass.PVC}
 
     def test_full_database_selection(self):
-        names = wf.discover_records(MITDB_DIR)
-        records = [wf.load_record(MITDB_DIR, n) for n in names]
-        index = wf.select_dataset(records)
-        assert len({ref.record.name for ref in index}) == 44
+        # one record at a time, as the CLI reads them
+        names = {n for n in wf.discover_records(MITDB_DIR)
+                 if len(wf.select_dataset([wf.load_record(MITDB_DIR, n)]))}
+        assert len(names) == 44
