@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Quick end-to-end smoke run: small subset, 50 epochs, about a minute.
 
-Uses MITDB_DIR when set; otherwise generates a synthetic database first.
+Uses MITDB_DIR when set; otherwise generates a synthetic database in a
+temporary directory, removed when the run ends.
 
     python scripts/run_smoke.py [--out runs/smoke]
 """
@@ -12,21 +13,7 @@ import tempfile
 from ecgres import cli, synthetic
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="runs/smoke")
-    ap.add_argument("--limit", type=int, default=3000)
-    ap.add_argument("--epochs", type=int, default=50)
-    args = ap.parse_args()
-
-    data_dir = os.environ.get("MITDB_DIR")
-    tmp = None
-    if not data_dir:
-        tmp = tempfile.mkdtemp(prefix="ecgres_synthdb_")
-        print(f"MITDB_DIR not set; generating synthetic database in {tmp}")
-        synthetic.make_database(tmp, duration_s=600, seed=7)
-        data_dir = tmp
-
+def run_pipeline(data_dir, args):
     base = ["--data-dir", data_dir, "--output-dir", args.out, "--seed", "0"]
     for argv in (
         ["preprocess", *base, "--per-set-size", str(args.limit)],
@@ -38,6 +25,23 @@ def main():
         rc = cli.main(argv)
         if rc != 0:
             raise SystemExit(rc)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default="runs/smoke")
+    ap.add_argument("--limit", type=int, default=3000)
+    ap.add_argument("--epochs", type=int, default=50)
+    args = ap.parse_args()
+
+    data_dir = os.environ.get("MITDB_DIR")
+    if data_dir:
+        run_pipeline(data_dir, args)
+        return
+    with tempfile.TemporaryDirectory(prefix="ecgres_synthdb_") as tmp:
+        print(f"MITDB_DIR not set; generating synthetic database in {tmp}")
+        synthetic.make_database(tmp, duration_s=600, seed=7)
+        run_pipeline(tmp, args)
 
 
 if __name__ == "__main__":

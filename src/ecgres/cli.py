@@ -39,7 +39,6 @@ class RunConfig:
     epochs: int = 300
     batch_size: int = 32
     learning_rate: float = 0.001
-    optimizer: str = "adam"
     eval_each_epoch: bool = False
     limit: int | None = None
 
@@ -183,7 +182,6 @@ def cmd_train(cfg: RunConfig) -> int:
         batch_size=cfg.batch_size,
         learning_rate=cfg.learning_rate,
         shuffle_seed=cfg.seed,
-        optimizer=cfg.optimizer,
         eval_each_epoch=cfg.eval_each_epoch,
     )
     log = md.train(model, split, tc, verbose=True)
@@ -206,7 +204,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint: str, dataset: str) -> int:
     model = md.load_checkpoint(checkpoint)
     beats = _limit(sg.load_segments(dataset), cfg.limit, np.random.default_rng(cfg.seed))
     x, y = sg.segments_to_arrays(beats)
-    pred, _ = md.predict_batch(model, x)  # ShapeError unless the model takes 180 samples
+    pred, _ = md.predict_batch(model, x)
     cm = me.confusion(y, pred)
     report = me.compute_metrics(cm)
     me.emit_report(report, cm, cfg.output_dir)
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
     p.add_argument("--eval-each-epoch", dest="eval_each_epoch", action="store_const", const=True)
     p.add_argument("--limit", type=int, help="subsample each set for smoke runs")
 

@@ -1,6 +1,6 @@
 """The residual 1D CNN: architecture assembly, training loop, checkpoints.
 
-Layer graph (default config, lengths in parentheses):
+Layer graph (`ARCHITECTURE`, lengths in parentheses):
 
     input (1x180)
       -> Conv(18, k3, s2, p1) + ReLU        (90)
@@ -14,15 +14,17 @@ Layer graph (default config, lengths in parentheses):
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import atomic, nn
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
-from .segment import DatasetSplit, segments_to_arrays
+from .segment import SEGMENT_SAMPLES, DatasetSplit, segments_to_arrays
+from .wfdb_io import BeatClass
 
 # Inference runs in chunks of at least this many rows, so activation memory
 # does not grow with the batch. The chunks are not small: conv1's 256 x 18 x 90
@@ -34,19 +36,17 @@ from .segment import DatasetSplit, segments_to_arrays
 PREDICT_ROWS = 256
 
 
+# The paper's network, the only one `Model` builds. A checkpoint's config
+# block is these values as "key=value" lines in this order, then its seed.
+ARCHITECTURE = {
+    "input_length": SEGMENT_SAMPLES, "conv_filters": 18, "conv_kernel": 3,
+    "conv_stride": 2, "pool_window": 2, "pool_stride": 2, "res_kernel": 7,
+    "res_stride": 2, "res_filters": 18, "fc_hidden": 64, "num_classes": len(BeatClass),
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    input_length: int = 180
-    conv_filters: int = 18
-    conv_kernel: int = 3
-    conv_stride: int = 2
-    pool_window: int = 2
-    pool_stride: int = 2
-    res_kernel: int = 7
-    res_stride: int = 2
-    res_filters: int = 18
-    fc_hidden: int = 64
-    num_classes: int = 5
     seed: int = 0
 
 
@@ -56,7 +56,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.001
     shuffle_seed: int = 0
-    optimizer: str = "adam"  # "adam" | "sgd"
     eval_each_epoch: bool = False
 
 
@@ -91,9 +90,9 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig):
-        self.config = c = config
-        pad, res_pad = c.conv_kernel // 2, c.res_kernel // 2
-        rng = np.random.default_rng(c.seed)
+        self.config = config
+        n, f, k, s, pw, ps, rk, rs, r, hidden, classes = ARCHITECTURE.values()
+        rng = np.random.default_rng(config.seed)
         self._named: dict[str, nn.Layer] = {}
 
         def named(name, layer):
@@ -101,38 +100,29 @@ class Model:
             setattr(self, name, layer)
             return layer
 
-        f, r = c.conv_filters, c.res_filters
         self.layers = [
-            named("conv1", nn.Conv1d(1, f, c.conv_kernel, c.conv_stride, pad, rng)),
+            named("conv1", nn.Conv1d(1, f, k, s, k // 2, rng)),
             named("relu1", nn.ReLU()),
-            named("pool1", nn.MaxPool1d(c.pool_window, c.pool_stride, ceil_mode=True)),
-            named("conv2", nn.Conv1d(f, f, c.conv_kernel, c.conv_stride, pad, rng)),
+            named("pool1", nn.MaxPool1d(pw, ps, ceil_mode=True)),
+            named("conv2", nn.Conv1d(f, f, k, s, k // 2, rng)),
             named("relu2", nn.ReLU()),
-            named("pool2", nn.MaxPool1d(c.pool_window, c.pool_stride, ceil_mode=True)),
+            named("pool2", nn.MaxPool1d(pw, ps, ceil_mode=True)),
             nn.Residual(
-                [named("res_conv1", nn.Conv1d(f, r, c.res_kernel, c.res_stride, res_pad, rng)),
+                [named("res_conv1", nn.Conv1d(f, r, rk, rs, rk // 2, rng)),
                  named("res_relu", nn.ReLU()),
-                 named("res_conv2", nn.Conv1d(r, r, c.res_kernel, 1, res_pad, rng))],
-                named("res_proj", nn.Conv1d(f, r, 1, c.res_stride, 0, rng)),
+                 named("res_conv2", nn.Conv1d(r, r, rk, 1, rk // 2, rng))],
+                named("res_proj", nn.Conv1d(f, r, 1, rs, 0, rng)),
             ),
             named("relu3", nn.ReLU()),
         ]
-        # activation lengths along the chain, one entry per change
-        chain = [c.input_length]
-        for layer in self.layers:
-            length = layer.out_length(chain[-1])
-            if length != chain[-1]:
-                chain.append(length)
-        if min(chain) <= 0:
-            raise ConfigError(f"layer length chain collapses: {chain}")
-        self.length_chain = chain
-        self.flat_features = r * chain[-1]
-
+        # fc1 reads the residual block's output: the shortcut sets its length
+        for layer in (self.conv1, self.pool1, self.conv2, self.pool2, self.res_proj):
+            n = layer.out_length(n)
         self.layers += [
             nn.Flatten(),
-            named("fc1", nn.Dense(self.flat_features, c.fc_hidden, rng)),
+            named("fc1", nn.Dense(r * n, hidden, rng)),
             named("relu4", nn.ReLU()),
-            named("fc2", nn.Dense(c.fc_hidden, c.num_classes, rng)),
+            named("fc2", nn.Dense(hidden, classes, rng)),
         ]
 
     def _tensors(self, kind: str) -> dict[str, np.ndarray]:
@@ -150,10 +140,8 @@ class Model:
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Logits; `cache=False` keeps nothing for `backward`."""
-        if x.ndim != 3 or x.shape[1] != 1 or x.shape[2] != self.config.input_length:
-            raise ShapeError(
-                f"expected (batch, 1, {self.config.input_length}), got {x.shape}"
-            )
+        if x.ndim != 3 or x.shape[1:] != (1, SEGMENT_SAMPLES):
+            raise ShapeError(f"expected (batch, 1, {SEGMENT_SAMPLES}), got {x.shape}")
         nn.check_finite(x, "model input")
         h = x.astype(np.float64, copy=False)
         for layer in self.layers:
@@ -190,14 +178,7 @@ def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
         raise ConfigError("empty training set")
     x_train, y_train = segments_to_arrays(split.train)
     x_test, y_test = (segments_to_arrays(split.test) if split.test else (None, None))
-
-    if tc.optimizer == "adam":
-        opt = nn.Adam(lr=tc.learning_rate)
-    elif tc.optimizer == "sgd":
-        opt = nn.Sgd(lr=tc.learning_rate)
-    else:
-        raise ConfigError(f"unknown optimizer {tc.optimizer!r}")
-
+    opt = nn.Adam(lr=tc.learning_rate)
     rng = np.random.default_rng(tc.shuffle_seed)
     log = TrainLog()
     n = len(x_train)
@@ -245,8 +226,8 @@ def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
 
 
 # --- checkpoint file: magic "ECGM", version u16, u32-length config text block
-#     ("key=value\n" lines), then per tensor: u16 name length + name, u8 rank,
-#     u32 dims, little-endian float32 data ---
+#     ("key=value\n" lines: ARCHITECTURE, then seed), then per tensor: u16 name
+#     length + name, u8 rank, u32 dims, little-endian float32 data ---
 
 CHECKPOINT_MAGIC = b"ECGM"
 CHECKPOINT_VERSION = 1
@@ -256,7 +237,8 @@ def save_checkpoint(model: Model, path) -> None:
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    cfg = "".join(f"{k}={v}\n" for k, v in asdict(model.config).items()).encode()
+    config = {**ARCHITECTURE, "seed": model.config.seed}
+    cfg = "".join(f"{k}={v}\n" for k, v in config.items()).encode()
     buf.write(struct.pack("<I", len(cfg)))
     buf.write(cfg)
     for name, arr in model.params().items():
@@ -270,6 +252,22 @@ def save_checkpoint(model: Model, path) -> None:
     atomic.write_bytes(path, buf.getvalue())
 
 
+def _read_config(path, text: str) -> ModelConfig:
+    """The config of a block that is ARCHITECTURE's lines in order, then a
+    seed >= 0; any other block names its first field that differs."""
+    *lines, last = text.splitlines() or [""]
+    key, _, seed = last.partition("=")
+    if key != "seed" or not seed.isdecimal():
+        raise CheckpointError(f"{path}: config seed: {last!r} is not seed=<integer >= 0>")
+    want = [f"{k}={v}" for k, v in ARCHITECTURE.items()]
+    for line, expected in itertools.zip_longest(lines, want, fillvalue=""):
+        if line != expected:
+            field = (expected or line).partition("=")[0]
+            raise CheckpointError(
+                f"{path}: config {field}: {line!r} where this network has {expected!r}")
+    return ModelConfig(seed=int(seed))
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         data = f.read()
@@ -280,16 +278,8 @@ def load_checkpoint(path) -> Model:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         (cfg_len,) = struct.unpack_from("<I", data, 6)
-        pos = 10
-        cfg_text = data[pos : pos + cfg_len].decode()
-        pos += cfg_len
-        fields = {}
-        for line in cfg_text.splitlines():
-            k, v = line.split("=", 1)
-            fields[k] = int(v)
-            if fields[k] < (0 if k == "seed" else 1):
-                raise CheckpointError(f"{path}: config {k}={fields[k]} is out of range")
-        model = Model(ModelConfig(**fields))
+        model = Model(_read_config(path, data[10 : 10 + cfg_len].decode()))
+        pos = 10 + cfg_len
         params = model.params()
         seen = set()
         while pos < len(data):
@@ -301,23 +291,20 @@ def load_checkpoint(path) -> Model:
             pos += 1
             shape = struct.unpack_from(f"<{rank}I", data, pos)
             pos += 4 * rank
-            count = int(np.prod(shape)) if rank else 1
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-            if arr.size != count:
-                raise CheckpointError(f"{path}: truncated tensor {name}")
-            pos += 4 * count
-            if name not in params:
-                raise CheckpointError(f"{path}: unknown tensor {name}")
-            if tuple(shape) != params[name].shape:
+            if name not in params or name in seen:
+                raise CheckpointError(f"{path}: unknown or repeated tensor {name}")
+            if shape != params[name].shape:
                 raise CheckpointError(
-                    f"{path}: tensor {name} shape {tuple(shape)} does not match "
-                    f"model shape {params[name].shape}"
-                )
+                    f"{path}: tensor {name} shape {shape} is not {params[name].shape}")
+            arr = np.frombuffer(data, dtype="<f4", count=params[name].size, offset=pos)
+            pos += arr.nbytes
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
             params[name][...] = arr.reshape(shape)
             seen.add(name)
         missing = set(params) - seen
         if missing:
             raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-    except (struct.error, ValueError, TypeError, ConfigError) as e:
+    except (struct.error, ValueError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from e
     return model

@@ -37,10 +37,6 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def out_length(self, n: int) -> int:
-        """Length of the output's last axis for an input of length n."""
-        return n
-
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         raise NotImplementedError
 
@@ -204,11 +200,6 @@ class Residual(Layer):
         self.main = main
         self.shortcut = shortcut
 
-    def out_length(self, n):
-        for layer in self.main:
-            n = layer.out_length(n)
-        return n
-
     def forward(self, x, cache=True):
         h = x
         for layer in self.main:
@@ -320,17 +311,3 @@ class Adam:
         for p in params.values():
             p -= update[start : start + p.size].reshape(p.shape).astype(p.dtype)
             start += p.size
-
-
-class Sgd:
-    """Plain SGD, kept behind the optimizer config switch."""
-
-    def __init__(self, lr=0.001):
-        self.lr = lr
-        self.t = 0
-
-    def step(self, params, grads):
-        self.t += 1
-        for name, p in params.items():
-            check_finite(grads[name], f"gradient of {name}")
-            p -= (self.lr * grads[name]).astype(p.dtype)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import re
@@ -16,6 +15,7 @@ from ecgres import model as md
 from ecgres import segment as sg
 from ecgres import wfdb_io as wf
 
+from test_model import refuse_model
 from test_segment import keys, write_edge_record
 
 
@@ -194,10 +194,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("field, value", [
         ("conv_kernel", 0), ("conv_stride", 0), ("pool_stride", 0), ("fc_hidden", 0),
         ("seed", -1),
-        ("pool_window", 100), ("input_length", 4),  # the layer chain collapses
+        ("pool_window", 100), ("input_length", 4),  # a stage would shrink to nothing
+        ("fc_hidden", 10**9),  # a ~430 GB fc1
+        ("input_length", 200),
     ])
-    def test_bad_config_block_exit_5(self, trained, tmp_path, field, value):
-        config = {**dataclasses.asdict(md.ModelConfig()), field: value}
+    def test_bad_config_block_exit_5(self, trained, tmp_path, monkeypatch, field, value):
+        monkeypatch.setattr(md.Model, "__init__", refuse_model)  # no Model is built
+        config = {**md.ARCHITECTURE, "seed": 0, field: value}
         text = "".join(f"{k}={v}\n" for k, v in config.items()).encode()
         bad = tmp_path / "bad.ecgm"
         bad.write_bytes(md.CHECKPOINT_MAGIC
@@ -208,11 +211,24 @@ class TestEvaluate:
         assert not (tmp_path / "out").exists()
 
     def test_model_input_length_mismatch_exit_5(self, trained, tmp_path):
+        data = (trained / "checkpoint.ecgm").read_bytes()
         other = tmp_path / "long.ecgm"
-        md.save_checkpoint(md.build_model(md.ModelConfig(input_length=200)), other)
+        other.write_bytes(data.replace(b"input_length=180\n", b"input_length=200\n"))
         rc = run(["evaluate", "--checkpoint", other,
                   "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out"])
         assert rc == 5
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_exit_5(self, trained, tmp_path, capsys, value):
+        model = md.load_checkpoint(trained / "checkpoint.ecgm")
+        model.fc2.params["b"][2] = value
+        bad = tmp_path / "bad.ecgm"
+        md.save_checkpoint(model, bad)
+        rc = run(["evaluate", "--checkpoint", bad, "--limit", 300,
+                  "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out"])
+        assert rc == 5
+        assert "fc2.b" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_report_dir_exit_3(self, trained, tmp_path):
@@ -357,6 +373,13 @@ class TestRunConfig:
     @pytest.mark.parametrize("lr", ["0", "-1", "inf", "nan"])
     def test_bad_learning_rate_exit_2(self, work, lr):
         assert self.train(work, ["--epochs", 1, f"--lr={lr}"]) == (2, ["test.ecgb", "train.ecgb"])
+
+    def test_optimizer_is_not_a_setting_exit_2(self, work):
+        config = '{"epochs": 1, "optimizer": "adam"}'
+        assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
+        with pytest.raises(SystemExit) as exit_:
+            self.train(work, ["--epochs", 1, "--optimizer", "sgd"])
+        assert exit_.value.code == 2
 
     def test_zero_learning_rate_in_config_exit_2(self, work):
         config = '{"epochs": 1, "learning_rate": 0}'

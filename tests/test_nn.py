@@ -525,7 +525,7 @@ class TestFlattenResidual:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 2, 9))
         y = block.forward(x)
-        assert y.shape == (2, 3, block.out_length(9)) == (2, 3, 5)
+        assert y.shape == (2, 3, 5)
         gw = rng.standard_normal(y.shape)
         gx = block.backward(gw)
         fd = fd_gradient(lambda v: float(np.sum(block.forward(v) * gw)), x, h=1e-6)
@@ -648,12 +648,6 @@ class TestAdam:
         for k in init:
             assert flat[k].dtype == init[k].dtype
             assert flat[k].tobytes() == ref[k].tobytes(), k
-
-    def test_sgd_descends(self):
-        p = {"w": np.zeros(1)}
-        opt = nn.Sgd(lr=0.1)
-        opt.step(p, {"w": np.ones(1)})
-        assert p["w"][0] == pytest.approx(-0.1)
 
 
 class TestDeterminism:
