@@ -27,9 +27,12 @@ from .segment import SEGMENT_SAMPLES, DatasetSplit, segments_to_arrays
 from .wfdb_io import BeatClass
 
 # Inference runs in chunks of at least this many rows, so activation memory
-# does not grow with the batch. The chunks are not small: conv1's 256 x 18 x 90
-# float64 output is ~3.3 MB, above glibc's 128 KiB mmap threshold, so a chunk
-# may fault in fresh pages instead of reusing the last one's. On OpenBLAS's
+# does not grow with the batch. The convs of every chunk build their im2col
+# matrices and GEMM outputs in one shared scratch and its ReLUs work in place
+# (see nn), so a chunk reuses the last one's memory. The arrays left, such as
+# conv1's ~3.3 MB 256 x 18 x 90 float64 output, lie above glibc's initial
+# 128 KiB mmap threshold; they are reused only once freeing one has raised
+# that threshold, which an explicit MALLOC_MMAP_THRESHOLD_ stops. On OpenBLAS's
 # SkylakeX kernels, fc2's (rows x 64)·(64 x 5) product switches to a kernel
 # with different rounding below ~255 rows, so a short trailing chunk would
 # change logits; np.array_split spreads the remainder over the chunks instead.
@@ -139,7 +142,8 @@ class Model:
         return self._tensors("grads")
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        """Logits; `cache=False` keeps nothing for `backward`."""
+        """Logits; `cache=False` keeps nothing for `backward`. `x` is never
+        written: its first reader is conv1."""
         if x.ndim != 3 or x.shape[1:] != (1, SEGMENT_SAMPLES):
             raise ShapeError(f"expected (batch, 1, {SEGMENT_SAMPLES}), got {x.shape}")
         nn.check_finite(x, "model input")

@@ -277,6 +277,16 @@ class TestPredictBatch:
             for attr in ("_cols", "_mask", "_arg", "_x"):
                 assert getattr(layer, attr, None) is None, (name, attr)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_the_input_unchanged(self, beats, small_model, dtype):
+        # uncached ReLUs write in place; none of them may reach the caller's x
+        x = beats[:300].astype(dtype)
+        before = x.tobytes()
+        md.predict_batch(small_model, x)
+        assert x.tobytes() == before
+        small_model.forward(x, cache=False)
+        assert x.tobytes() == before
+
     def test_evaluate_accuracy_is_share_of_predictions(self, beats, small_model):
         x = beats[:300]
         pred, _ = md.predict_batch(small_model, x)

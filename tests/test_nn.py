@@ -579,6 +579,57 @@ class TestNoCacheForward:
         assert rel_error(gx, fd) < 1e-4
 
 
+class TestUncachedScratch:
+    """Uncached conv forwards share one grow-only scratch for their im2col
+    matrix and GEMM output; what they return is their own, and a cached
+    forward's backward state never lives in the scratch."""
+
+    def test_two_convs_reuse_one_scratch(self):
+        rng = np.random.default_rng(5)
+        big, small = make_conv(3, 8, 7, 1, 3), make_conv(8, 4, 3, 2, 1, seed=1)
+        big.forward(rng.standard_normal((16, 3, 90)), cache=False)
+        scratch = nn.Conv1d._scratch
+        x = rng.standard_normal((2, 8, 30))
+        y = small.forward(x, cache=False)  # over what `big` left there
+        assert nn.Conv1d._scratch is scratch
+        assert y.tobytes() == small.forward(x).tobytes()
+
+    # (in, out, kernel, stride, padding, length): the last two give one
+    # output channel or one output position, where the transposed GEMM
+    # output is already C-contiguous and a plain reshape would be a view
+    @pytest.mark.parametrize("shape", [(3, 4, 3, 2, 1, 23), (2, 1, 3, 1, 1, 9),
+                                       (2, 5, 3, 1, 0, 3)])
+    def test_output_never_shares_the_scratch(self, shape):
+        *conv, length = shape
+        layer = make_conv(*conv)
+        x = np.random.default_rng(6).standard_normal((4, conv[0], length))
+        y = layer.forward(x, cache=False)
+        assert y.flags.c_contiguous
+        assert not np.shares_memory(y, nn.Conv1d._scratch)
+        kept = y.copy()
+        make_conv(conv[0], 6, 5, 1, 2, seed=2).forward(x, cache=False)
+        assert y.tobytes() == kept.tobytes()
+
+    def test_uncached_forward_between_forward_and_backward(self):
+        rng = np.random.default_rng(7)
+        a, b = make_conv(3, 4, 3, 2, 1), make_conv(3, 6, 7, 1, 3, seed=1)
+        x, gy = rng.standard_normal((5, 3, 23)), rng.standard_normal((5, 4, 12))
+        a.forward(x)
+        gx_want = a.backward(gy)
+        grads_want = {k: v.tobytes() for k, v in a.grads.items()}
+        a.forward(x)
+        b.forward(rng.standard_normal((9, 3, 40)), cache=False)
+        assert not np.shares_memory(a._cols, nn.Conv1d._scratch)
+        assert a.backward(gy).tobytes() == gx_want.tobytes()
+        assert {k: v.tobytes() for k, v in a.grads.items()} == grads_want
+
+    def test_relu_overwrites_its_input(self):
+        x = np.random.default_rng(8).standard_normal((3, 2, 7))
+        want = np.maximum(x, 0)
+        assert nn.ReLU().forward(x, cache=False) is x
+        assert x.tobytes() == want.tobytes()
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         p = {"w": np.ones(3, dtype=np.float32)}
