@@ -1,7 +1,8 @@
 """Command-line pipeline driver: ingest, preprocess, train, evaluate, predict.
 
-Exit codes: 0 success, 2 input/data errors, 3 pipeline errors, 4 numeric
-training failure, 5 checkpoint/dataset compatibility errors.
+Exit codes: 0 success, 2 input/data errors and failed artifact writes
+(OSError), 3 pipeline errors, 4 numeric training failure, 5 checkpoint/dataset
+compatibility errors.
 """
 from __future__ import annotations
 
@@ -34,12 +35,12 @@ class RunConfig:
     seed: int = 0
     levels: int = dn.DEFAULT_LEVELS
     window: int = dn.DEFAULT_BASELINE_WINDOW
-    threshold_mode: str = "soft"
+    threshold_mode: str = dn.ThresholdPolicy.mode
     per_set_size: int | None = None
-    epochs: int = 300
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    eval_each_epoch: bool = False
+    epochs: int = md.TrainConfig.epochs
+    batch_size: int = md.TrainConfig.batch_size
+    learning_rate: float = md.TrainConfig.learning_rate
+    eval_each_epoch: bool = md.TrainConfig.eval_each_epoch
     limit: int | None = None
 
     @classmethod

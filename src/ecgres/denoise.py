@@ -147,10 +147,7 @@ def denoise(
     policy: ThresholdPolicy = ThresholdPolicy(),
 ) -> np.ndarray:
     """Full per-record cleanup: wavelet shrinkage, then baseline removal."""
-    x = np.asarray(signal, dtype=np.float64)
-    if len(x) < 256:
-        raise LengthError(f"denoise needs >= 256 samples, got {len(x)}")
-    decomp = dwt_forward(x, levels)
+    decomp = dwt_forward(signal, levels)
     decomp = threshold_details(decomp, policy)
     cleaned = dwt_inverse(decomp)
     return remove_baseline(cleaned, window)

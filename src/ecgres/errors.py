@@ -68,10 +68,6 @@ class NumericError(EcgresError):
     exit_code = 4
 
 
-class ConfigError(EcgresError):
-    pass
-
-
 class CheckpointError(EcgresError):
     exit_code = 5
 
@@ -79,8 +75,4 @@ class CheckpointError(EcgresError):
 # --- evaluation / reporting ---
 
 class InputError(EcgresError):
-    pass
-
-
-class IoError(EcgresError):
     pass

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from .errors import InputError, IoError
+from .errors import InputError
 from .wfdb_io import BeatClass
 
 NUM_CLASSES = len(BeatClass)
@@ -92,21 +92,18 @@ def compute_metrics(cm: np.ndarray) -> MetricsReport:
 def emit_report(report: MetricsReport, cm: np.ndarray, out_dir) -> list[Path]:
     """Write confusion.csv and metrics.json into out_dir."""
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        files = []
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = []
 
-        p = out_dir / "confusion.csv"
-        lines = ["true\\pred," + ",".join(CLASS_NAMES)]
-        for name, row in zip(CLASS_NAMES, np.asarray(cm)):
-            lines.append(name + "," + ",".join(str(int(v)) for v in row))
-        atomic.write_bytes(p, ("\n".join(lines) + "\n").encode())
-        files.append(p)
+    p = out_dir / "confusion.csv"
+    lines = ["true\\pred," + ",".join(CLASS_NAMES)]
+    for name, row in zip(CLASS_NAMES, np.asarray(cm)):
+        lines.append(name + "," + ",".join(str(int(v)) for v in row))
+    atomic.write_bytes(p, ("\n".join(lines) + "\n").encode())
+    files.append(p)
 
-        p = out_dir / "metrics.json"
-        text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-        atomic.write_bytes(p, text.encode())
-        files.append(p)
-        return files
-    except OSError as e:
-        raise IoError(f"failed writing report to {out_dir}: {e}") from e
+    p = out_dir / "metrics.json"
+    text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    atomic.write_bytes(p, text.encode())
+    files.append(p)
+    return files

@@ -13,7 +13,6 @@ Layer graph (`ARCHITECTURE`, lengths in parentheses):
 """
 from __future__ import annotations
 
-import io
 import itertools
 import struct
 import time
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic, nn
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, NumericError, ShapeError
 from .segment import SEGMENT_SAMPLES, DatasetSplit, segments_to_arrays
 from .wfdb_io import BeatClass
 
@@ -178,8 +177,6 @@ def predict_batch(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
           verbose: bool = False) -> TrainLog:
-    if not split.train:
-        raise ConfigError("empty training set")
     x_train, y_train = segments_to_arrays(split.train)
     x_test, y_test = (segments_to_arrays(split.test) if split.test else (None, None))
     opt = nn.Adam(lr=tc.learning_rate)
@@ -230,30 +227,28 @@ def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
 
 
 # --- checkpoint file: magic "ECGM", version u16, u32-length config text block
-#     ("key=value\n" lines: ARCHITECTURE, then seed), then per tensor: u16 name
-#     length + name, u8 rank, u32 dims, little-endian float32 data ---
+#     ("key=value\n" lines: ARCHITECTURE, then seed), then each tensor of
+#     `Model.params()` in its order: u16 name length + name, u8 rank, u32 dims,
+#     little-endian float32 data. Nothing may follow the last tensor ---
 
 CHECKPOINT_MAGIC = b"ECGM"
 CHECKPOINT_VERSION = 1
 
 
+def _record_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """A tensor record's bytes before its data: name length, name, rank, dims."""
+    nb = name.encode()
+    return struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
+
+
 def save_checkpoint(model: Model, path) -> None:
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     config = {**ARCHITECTURE, "seed": model.config.seed}
     cfg = "".join(f"{k}={v}\n" for k, v in config.items()).encode()
-    buf.write(struct.pack("<I", len(cfg)))
-    buf.write(cfg)
+    parts = [CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(cfg)), cfg]
     for name, arr in model.params().items():
-        nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            buf.write(struct.pack("<I", d))
-        buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    atomic.write_bytes(path, buf.getvalue())
+        parts += [_record_header(name, arr.shape),
+                  np.ascontiguousarray(arr, dtype="<f4").tobytes()]
+    atomic.write_bytes(path, b"".join(parts))
 
 
 def _read_config(path, text: str) -> ModelConfig:
@@ -284,31 +279,19 @@ def load_checkpoint(path) -> Model:
         (cfg_len,) = struct.unpack_from("<I", data, 6)
         model = Model(_read_config(path, data[10 : 10 + cfg_len].decode()))
         pos = 10 + cfg_len
-        params = model.params()
-        seen = set()
-        while pos < len(data):
-            (name_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            name = data[pos : pos + name_len].decode()
-            pos += name_len
-            (rank,) = struct.unpack_from("<B", data, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{rank}I", data, pos)
-            pos += 4 * rank
-            if name not in params or name in seen:
-                raise CheckpointError(f"{path}: unknown or repeated tensor {name}")
-            if shape != params[name].shape:
+        for name, param in model.params().items():
+            head = _record_header(name, param.shape)
+            if data[pos : pos + len(head)] != head:
                 raise CheckpointError(
-                    f"{path}: tensor {name} shape {shape} is not {params[name].shape}")
-            arr = np.frombuffer(data, dtype="<f4", count=params[name].size, offset=pos)
+                    f"{path}: no record of tensor {name} {param.shape} at byte {pos}")
+            pos += len(head)
+            arr = np.frombuffer(data, dtype="<f4", count=param.size, offset=pos)
             pos += arr.nbytes
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-            params[name][...] = arr.reshape(shape)
-            seen.add(name)
-        missing = set(params) - seen
-        if missing:
-            raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
+            param[...] = arr.reshape(param.shape)
+        if pos != len(data):
+            raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after tensor {name}")
     except (struct.error, ValueError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from e
     return model

@@ -313,11 +313,10 @@ class Adam:
     `params`, and the update runs once over the concatenated gradients.
     """
 
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr is set
+
+    def __init__(self, lr=0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None

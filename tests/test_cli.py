@@ -231,12 +231,12 @@ class TestEvaluate:
         assert "fc2.b" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_unwritable_report_dir_exit_3(self, trained, tmp_path):
+    def test_unwritable_report_dir_exit_2(self, trained, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
                   "--dataset", trained / "test.ecgb", "--output-dir", blocker])
-        assert rc == 3
+        assert rc == 2
 
     def test_short_dataset_header_exit_2(self, trained, tmp_path):
         short = tmp_path / "short.ecgb"
@@ -426,8 +426,8 @@ EXIT_CODES = [
     (errors.TruncatedSignal, 2), (errors.RangeError, 2), (errors.SelectionError, 2),
     (errors.LengthError, 3), (errors.ParameterError, 2), (errors.BoundarySkip, 3),
     (errors.SizeError, 3), (errors.ShapeError, 5), (errors.LabelError, 3),
-    (errors.NumericError, 4), (errors.ConfigError, 3), (errors.CheckpointError, 5),
-    (errors.InputError, 3), (errors.IoError, 3), (OSError, 2),
+    (errors.NumericError, 4), (errors.CheckpointError, 5), (errors.InputError, 3),
+    (OSError, 2),
 ]
 
 

@@ -298,6 +298,14 @@ class TestDenoise:
         with pytest.raises(LengthError):
             dn.denoise(np.zeros(100))
 
+    def test_short_signal_names_usable_levels(self):
+        with pytest.raises(LengthError, match="at most 7 levels fit"):
+            dn.denoise(np.zeros(200))
+
+    def test_short_signal_at_fitting_settings(self):
+        x = np.random.default_rng(0).standard_normal(200)
+        assert len(dn.denoise(x, levels=5, window=51)) == 200
+
     @pytest.mark.parametrize("name, kwargs", [
         ("default", {}),
         ("levels5_window51_hard",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ecgres import model as md
 from ecgres import nn
 from ecgres import segment as sg
-from ecgres.errors import CheckpointError, NumericError, ShapeError
+from ecgres.errors import CheckpointError, NumericError, ShapeError, SizeError
 from ecgres.wfdb_io import BeatClass
 
 from conftest import fd_gradient, rel_error
@@ -179,6 +179,11 @@ class TestTrain:
         m = md.build_model(md.ModelConfig(seed=0))
         log = md.train(m, self._toy_split(10), md.TrainConfig(epochs=1))
         assert len(log.epochs) == 1
+
+    def test_empty_training_set_rejected(self):
+        # segments_to_arrays refuses an empty set, before any training
+        with pytest.raises(SizeError, match="the dataset is empty"):
+            md.train(md.build_model(), sg.DatasetSplit([], [], 0))
 
     def test_loss_decreases(self, synth_segments):
         segs = synth_segments[:200]
@@ -398,7 +403,32 @@ class TestCheckpoint:
         assert record[2:7] == b"fc2.b"
         path = tmp_path / "m.ecgm"
         path.write_bytes(checkpoint_bytes + record)
-        with pytest.raises(CheckpointError, match="repeated tensor fc2.b"):
+        with pytest.raises(CheckpointError, match="32 trailing bytes after tensor fc2.b"):
+            md.load_checkpoint(path)
+
+    def test_reordered_tensors_rejected(self, checkpoint_bytes, tmp_path):
+        # the same two records the writer gives, conv1.b before conv1.w
+        head, (w, b, *rest) = split_records(checkpoint_bytes)
+        path = tmp_path / "m.ecgm"
+        path.write_bytes(head + b + w + b"".join(rest))
+        with pytest.raises(CheckpointError, match="tensor conv1.w") as e:
+            md.load_checkpoint(path)
+        assert e.value.exit_code == 5
+
+    @pytest.mark.parametrize("edit", ["unknown", "misshapen", "missing"])
+    def test_other_records_named(self, checkpoint_bytes, tmp_path, edit):
+        head, records = split_records(checkpoint_bytes)
+        name = "conv2.b"
+        at = list(SHAPES).index(name)
+        if edit == "unknown":
+            records[at] = records[at].replace(b"conv2.b", b"conv2.c")
+        elif edit == "misshapen":
+            records[at] = struct.pack("<H7sBI", 7, b"conv2.b", 1, 19) + bytes(4 * 19)
+        else:
+            del records[at]
+        path = tmp_path / "m.ecgm"
+        path.write_bytes(head + b"".join(records))
+        with pytest.raises(CheckpointError, match=f"tensor {name} "):
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -412,6 +442,19 @@ class TestCheckpoint:
 
 def refuse_model(*args):
     raise AssertionError("Model built from a rejected config block")
+
+
+def split_records(data: bytes) -> tuple[bytes, list[bytes]]:
+    """Checkpoint bytes `data` as the bytes up to the first tensor record and
+    the list of tensor records, each header plus data, in file order."""
+    (size,) = struct.unpack_from("<I", data, 6)
+    pos, records = 10 + size, []
+    for name, shape in SHAPES.items():
+        end = pos + 2 + len(name) + 1 + 4 * len(shape) + 4 * int(np.prod(shape))
+        records.append(data[pos:end])
+        pos = end
+    assert pos == len(data)
+    return data[:10 + size], records
 
 
 def with_config(data: bytes, block: bytes) -> bytes:
