@@ -1,12 +1,23 @@
 """ECG denoising: 8-level db4 wavelet thresholding + moving-average baseline removal.
 
 The wavelet transform is the orthogonal Daubechies-4 (8-tap) filter bank with
-periodized boundaries, run in polyphase form: tap m touches phase m % 2 of the
-stage (every other sample), circularly shifted by m // 2. Odd-length stages
-are handled pywt-style: the last sample is repeated to make the stage even,
-and the inverse truncates back, so perfect reconstruction holds for every
-length; exact energy conservation additionally requires each stage length to
-be even.
+periodized boundaries, run in polyphase form. Analysis coefficient i of a
+stage x of length N is sum over taps m of h[m] * x[(m + 2i) % N]: tap m reads
+every other sample of one periodic extension of x (6 wrapped samples at its
+end) as a strided slice. Synthesis adds h[m] * a + g[m] * d, delayed by m // 2,
+into the even (m even) or odd (m odd) output phase, reading a and d extended
+by 3 wrapped samples at the front, and interleaves the two phases. Odd-length
+stages are handled pywt-style: the last sample is repeated to make the stage
+even, and the inverse truncates back, so perfect reconstruction holds for
+every length; exact energy conservation additionally requires each stage
+length to be even.
+
+Both steps run in passes of BLOCK coefficients. Each tap's product goes into
+one scratch buffer of a pass and is added into that pass's slice of the
+output, so all 8 taps work on data already in cache; taking each tap over a
+whole stage (2.6 MB per array on a 650,000-sample record) streams every
+operand through main memory 8 times. Every coefficient still sums its taps
+in the order m = 0..7 onto 0.0, so the output does not depend on BLOCK.
 """
 from __future__ import annotations
 
@@ -33,6 +44,7 @@ DB4_G = ((-1.0) ** np.arange(8)) * DB4_H[::-1]
 
 DEFAULT_LEVELS = 8
 DEFAULT_BASELINE_WINDOW = 251  # ~0.70 s at 360 Hz
+BLOCK = 16_384  # coefficients per filter-bank pass; see the module docstring
 
 
 @dataclass
@@ -56,21 +68,42 @@ class ThresholdPolicy:
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(x) % 2:
         x = np.concatenate([x, x[-1:]])
-    a = np.zeros(len(x) // 2)
-    d = np.zeros(len(x) // 2)
-    for m in range(8):
-        xm = np.roll(x[m % 2 :: 2], -(m // 2))
-        a += DB4_H[m] * xm
-        d += DB4_G[m] * xm
+    xp = np.concatenate([x, x.take(range(6), mode="wrap")])  # xp[k] = x[k % len(x)]
+    half = len(x) // 2
+    a = np.zeros(half)
+    d = np.zeros(half)
+    t = np.empty(min(half, BLOCK))
+    for i0 in range(0, half, BLOCK):
+        i1 = min(i0 + BLOCK, half)
+        ab, db, tb = a[i0:i1], d[i0:i1], t[: i1 - i0]
+        for m in range(8):
+            xm = xp[m + 2 * i0 : m + 2 * i1 : 2]  # x[(m + 2i) % len(x)]
+            ab += np.multiply(DB4_H[m], xm, out=tb)
+            db += np.multiply(DB4_G[m], xm, out=tb)
     return a, d
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, out_length: int) -> np.ndarray:
     if len(a) != len(d):
         raise ShapeError(f"approx/detail length mismatch: {len(a)} vs {len(d)}")
-    x = np.zeros(2 * len(a))
-    for m in range(8):
-        x[m % 2 :: 2] += np.roll(DB4_H[m] * a + DB4_G[m] * d, m // 2)
+    n = len(a)
+    # 3 wrapped samples in front: ae[j + 3 - s] = a[(j - s) % n] for shifts s <= 3
+    ae = np.concatenate([a.take(range(-3, 0), mode="wrap"), a])
+    de = np.concatenate([d.take(range(-3, 0), mode="wrap"), d])
+    x = np.empty(2 * n)
+    rows = np.empty((4, min(n, BLOCK)))
+    for j0 in range(0, n, BLOCK):
+        j1 = min(j0 + BLOCK, n)
+        phases, (t, u) = rows[:2, : j1 - j0], rows[2:, : j1 - j0]
+        phases.fill(0.0)
+        for m in range(8):
+            s = 3 - m // 2
+            np.multiply(DB4_H[m], ae[j0 + s : j1 + s], out=t)
+            t += np.multiply(DB4_G[m], de[j0 + s : j1 + s], out=u)
+            row = phases[m % 2]  # output samples 2j + m % 2
+            row += t
+        x[2 * j0 : 2 * j1 : 2] = phases[0]
+        x[2 * j0 + 1 : 2 * j1 : 2] = phases[1]
     return x[:out_length]
 
 
@@ -84,7 +117,7 @@ def dwt_forward(signal, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
     if len(x) < 2 ** levels:
         raise LengthError(
             f"signal of length {len(x)} too short for {levels} levels "
-            f"(at most {len(x).bit_length() - 1} levels fit)"
+            f"(at most {max(len(x).bit_length() - 1, 0)} levels fit)"
         )
     details = []
     stage_lengths = []
@@ -111,7 +144,10 @@ def universal_threshold(decomp: WaveletDecomposition) -> float:
 
 def apply_threshold(coeffs: np.ndarray, threshold: float, mode: str) -> np.ndarray:
     if mode == "soft":
-        return np.sign(coeffs) * np.maximum(np.abs(coeffs) - threshold, 0.0)
+        out = np.abs(coeffs)
+        out -= threshold
+        np.maximum(out, 0.0, out=out)
+        return np.multiply(np.sign(coeffs), out, out=out)
     return np.where(np.abs(coeffs) > threshold, coeffs, 0.0)
 
 
@@ -133,11 +169,16 @@ def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray
     if window > n:
         raise LengthError(f"baseline window {window} exceeds the record's {n} samples")
     half = window // 2
-    idx = np.arange(n)
-    h = np.minimum(half, np.minimum(idx, n - 1 - idx))
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    baseline = (csum[idx + h + 1] - csum[idx - h]) / (2 * h + 1)
-    return x - baseline
+    csum = np.zeros(n + 1)
+    np.cumsum(x, out=csum[1:])
+    baseline = np.empty(n)
+    interior = baseline[half : n - half]  # full windows: one slice difference
+    np.subtract(csum[window:], csum[: n - window + 1], out=interior)
+    interior /= window
+    edge = np.r_[:half, n - half : n]  # windows shrink to 2 * h + 1 samples
+    h = np.minimum(edge, n - 1 - edge)
+    baseline[edge] = (csum[edge + h + 1] - csum[edge - h]) / (2 * h + 1)
+    return np.subtract(x, baseline, out=baseline)
 
 
 def denoise(

@@ -190,16 +190,16 @@ def decode_format212(data: bytes, num_samples: int) -> tuple[np.ndarray, np.ndar
             f"format-212 file too short: need {needed} bytes for "
             f"{num_samples} samples/channel, got {len(data)}"
         )
-    n_groups = num_samples  # one group per sample pair
-    buf = np.frombuffer(data, dtype=np.uint8, count=3 * n_groups)
-    b0 = buf[0::3].astype(np.int32)
-    b1 = buf[1::3].astype(np.int32)
-    b2 = buf[2::3].astype(np.int32)
-    s1 = b0 | ((b1 & 0x0F) << 8)
-    s2 = b2 | ((b1 & 0xF0) << 4)
-    s1 -= (s1 & 0x800) << 1  # sign-extend from bit 11
-    s2 -= (s2 & 0x800) << 1
-    return s1.astype(np.int16), s2.astype(np.int16)
+    groups = np.frombuffer(data, dtype=np.uint8, count=3 * num_samples).reshape(-1, 3)
+    s1 = groups[:, 1].astype(np.int16)
+    s2 = s1 >> 4  # high nibble of b1
+    s1 &= 0x0F
+    for s, low in ((s1, groups[:, 0]), (s2, groups[:, 2])):
+        s <<= 8
+        s |= low
+        s ^= 0x800  # sign-extend from bit 11: (v ^ 0x800) - 0x800
+        s -= 0x800
+    return s1, s2
 
 
 def encode_format212(ch1: np.ndarray, ch2: np.ndarray) -> bytes:
@@ -314,7 +314,10 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     )
     channels = []
     for spec, raw in zip(header.signals, (raw1, raw2)):
-        channels.append((raw.astype(np.float64) - spec.adc_zero) / spec.gain)
+        mv = raw.astype(np.float64)
+        mv -= spec.adc_zero
+        mv /= spec.gain
+        channels.append(mv)
     ann_samples, ann_codes = parse_annotations(
         (data_dir / f"{name}.atr").read_bytes(), header.num_samples
     )

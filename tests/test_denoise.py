@@ -133,7 +133,12 @@ class TestForward:
 class TestPolyphaseSteps:
     """The polyphase steps reproduce the modulo-index filter bank bit for bit."""
 
-    @pytest.mark.parametrize("n", [*range(1, 65), 257, 1001, 81225])
+    @pytest.mark.parametrize("n", [
+        *range(1, 65), 257, 1001, 81225,
+        # stage lengths around the edges of the BLOCK-coefficient passes
+        2 * dn.BLOCK - 1, 2 * dn.BLOCK, 2 * dn.BLOCK + 1, 2 * dn.BLOCK + 2,
+        4 * dn.BLOCK + 7, 649_800,
+    ])
     def test_bit_equal_to_oracle(self, n):
         assert_steps_match_oracles(n, n)
 
@@ -190,6 +195,18 @@ class TestThreshold:
             dn.ThresholdPolicy(mode="fuzzy")
 
 
+def remove_baseline_oracle(x, window):
+    """The per-sample `idx +- h` gather form of `remove_baseline`, kept as the
+    bit-exact reference for its slice-difference interior."""
+    n = len(x)
+    half = window // 2
+    idx = np.arange(n)
+    h = np.minimum(half, np.minimum(idx, n - 1 - idx))
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    baseline = (csum[idx + h + 1] - csum[idx - h]) / (2 * h + 1)
+    return x - baseline
+
+
 def moving_average_oracle(x, window):
     half = window // 2
     n = len(x)
@@ -225,6 +242,15 @@ class TestRemoveBaseline:
     def test_against_oracle(self):
         x = np.random.default_rng(3).standard_normal(400)
         assert np.allclose(dn.remove_baseline(x, 51), moving_average_oracle(x, 51), atol=1e-10)
+
+    @pytest.mark.parametrize("window", [1, 3, 251, "n"])
+    def test_bit_equal_to_oracle(self, window):
+        rng = np.random.default_rng(9)
+        lengths = range(1, 5001, 2) if window == "n" else range(window, 5001)
+        for n in lengths:
+            w = n if window == "n" else window
+            x = rng.standard_normal(n)
+            assert dn.remove_baseline(x, w).tobytes() == remove_baseline_oracle(x, w).tobytes()
 
     def test_sine_plus_dc(self):
         t = np.arange(1000)
@@ -301,6 +327,11 @@ class TestDenoise:
     def test_short_signal_names_usable_levels(self):
         with pytest.raises(LengthError, match="at most 7 levels fit"):
             dn.denoise(np.zeros(200))
+
+    def test_empty_signal_names_zero_levels(self):
+        for call in (dn.denoise, dn.dwt_forward):
+            with pytest.raises(LengthError, match=r"length 0 too short .*at most 0 levels fit"):
+                call(np.zeros(0))
 
     def test_short_signal_at_fitting_settings(self):
         x = np.random.default_rng(0).standard_normal(200)

@@ -129,7 +129,32 @@ class TestParseHeaderFuzz:
         self._parse("\n".join(" ".join(row) for row in lines))
 
 
+def decode_format212_oracle(data, num_samples):
+    """The int32 decoder that the int16 `decode_format212` replaced, kept as
+    its bit-exact reference."""
+    buf = np.frombuffer(data, dtype=np.uint8, count=3 * num_samples)
+    b0 = buf[0::3].astype(np.int32)
+    b1 = buf[1::3].astype(np.int32)
+    b2 = buf[2::3].astype(np.int32)
+    s1 = b0 | ((b1 & 0x0F) << 8)
+    s2 = b2 | ((b1 & 0xF0) << 4)
+    s1 -= (s1 & 0x800) << 1
+    s2 -= (s2 & 0x800) << 1
+    return s1.astype(np.int16), s2.astype(np.int16)
+
+
 class TestFormat212:
+    def test_bit_equal_to_oracle(self):
+        # (b, b1, b) for every b1 and b: each (b0, low nibble of b1) and each
+        # (b2, high nibble of b1) pair, so every 12-bit value in both channels
+        b, b1 = np.divmod(np.arange(1 << 16), 256)
+        data = np.stack([b, b1, b], axis=1).astype(np.uint8).tobytes()
+        for got, want in zip(wf.decode_format212(data, 1 << 16),
+                             decode_format212_oracle(data, 1 << 16)):
+            assert got.dtype == want.dtype == np.int16
+            assert got.tobytes() == want.tobytes()
+        assert len(np.unique(got)) == 1 << 12
+
     def test_all_zero_group(self):
         s1, s2 = wf.decode_format212(b"\x00\x00\x00", 1)
         assert (s1[0], s2[0]) == (0, 0)
