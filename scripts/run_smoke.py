@@ -2,15 +2,28 @@
 """Quick end-to-end smoke run: small subset, 50 epochs, about a minute.
 
 Uses MITDB_DIR when set; otherwise generates a synthetic database in a
-temporary directory, removed when the run ends.
+temporary directory, removed when the run ends. After preprocess, each
+`.ecgb` is loaded and saved again, and must come out byte for byte the same.
 
     python scripts/run_smoke.py [--out runs/smoke]
 """
 import argparse
 import os
 import tempfile
+from pathlib import Path
 
-from ecgres import cli, synthetic
+from ecgres import cli, segment, synthetic
+
+
+def check_resave(out):
+    """Re-save each set that preprocess wrote and compare the bytes: the
+    encoder must give the same file on the full run's interleaved record ids."""
+    with tempfile.TemporaryDirectory(prefix="ecgres_resave_") as tmp:
+        for name in ("train.ecgb", "test.ecgb"):
+            path, again = Path(out) / name, Path(tmp) / name
+            segment.save_segments(segment.load_segments(path), again)
+            if again.read_bytes() != path.read_bytes():
+                raise SystemExit(f"{path}: re-saving the loaded beats gives other bytes")
 
 
 def run_pipeline(data_dir, args):
@@ -25,6 +38,8 @@ def run_pipeline(data_dir, args):
         rc = cli.main(argv)
         if rc != 0:
             raise SystemExit(rc)
+        if argv[0] == "preprocess":
+            check_resave(args.out)
 
 
 def main():

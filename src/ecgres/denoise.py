@@ -137,8 +137,19 @@ def dwt_inverse(decomp: WaveletDecomposition) -> np.ndarray:
 
 
 def universal_threshold(decomp: WaveletDecomposition) -> float:
-    """T = sigma * sqrt(2 ln N), sigma = MAD(level-1 details) / 0.6745."""
-    sigma = np.median(np.abs(decomp.details[0])) / 0.6745
+    """T = sigma * sqrt(2 ln N), sigma = MAD(level-1 details) / 0.6745.
+
+    The median is np.median's float from one partition at n // 2: an even
+    count averages the lower part's max with it, and a NaN (sorted last)
+    makes it NaN.
+    """
+    mags = np.abs(decomp.details[0])
+    k = len(mags) // 2
+    mags.partition(k)
+    median = mags[k] if len(mags) % 2 else (mags[:k].max() + mags[k]) / 2
+    if np.isnan(mags[k:].max()):
+        median = np.nan
+    sigma = median / 0.6745
     return float(sigma * math.sqrt(2.0 * math.log(decomp.stage_lengths[0])))
 
 

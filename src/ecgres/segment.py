@@ -88,9 +88,13 @@ def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
     seg = np.asarray(channel, dtype=np.float64)[centers[kept, None] + offsets]
     lo, hi = seg.min(axis=1, keepdims=True), seg.max(axis=1, keepdims=True)
     flat = hi == lo
-    out = 2.0 * (seg - lo) / np.where(flat, 1.0, hi - lo) - 1.0
-    out[flat[:, 0]] = 0.0
-    return out.astype(np.float32), kept
+    # 2 * (seg - lo) / (hi - lo) - 1, the same operations in place on the gather
+    seg -= lo
+    seg *= 2.0
+    seg /= np.where(flat, 1.0, hi - lo)
+    seg -= 1.0
+    seg[flat[:, 0]] = 0.0
+    return seg.astype(np.float32), kept
 
 
 def segment_record_beats(
@@ -170,12 +174,18 @@ _FIXED = np.dtype([("annotation_index", "<u4"), ("label", "u1"),
 
 
 def save_segments(beats: Beats, path: str | Path) -> None:
-    fixed = np.rec.fromarrays([beats.annotation_index, beats.labels, beats.samples],
-                              dtype=_FIXED)
-    rows = (struct.pack("<H", len(rid)) + rid + row.tobytes()
-            for rid, row in zip((r.encode() for r in beats.record_ids), fixed))
-    head = DATASET_MAGIC + struct.pack("<HI", DATASET_VERSION, len(beats))
-    atomic.write_bytes(path, head + b"".join(rows))
+    """One `tobytes()` encodes every row's fixed part; each row then joins
+    its record's cached length-and-id prefix and its slice of those bytes."""
+    fixed = np.empty(len(beats), _FIXED)
+    fixed["annotation_index"], fixed["label"], fixed["samples"] = (
+        beats.annotation_index, beats.labels, beats.samples)
+    body, size = memoryview(fixed.tobytes()), _FIXED.itemsize
+    prefix = {rid: struct.pack("<H", len(b)) + b
+              for rid in set(beats.record_ids) for b in [rid.encode()]}
+    parts = [DATASET_MAGIC + struct.pack("<HI", DATASET_VERSION, len(beats))]
+    for i, rid in enumerate(beats.record_ids):
+        parts += prefix[rid], body[i * size : (i + 1) * size]
+    atomic.write_bytes(path, b"".join(parts))
 
 
 def load_segments(path: str | Path) -> Beats:

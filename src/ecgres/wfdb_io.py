@@ -297,7 +297,14 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     The signal file is the one the header names, relative to `data_dir`.
     """
     data_dir = Path(data_dir)
-    header = parse_header((data_dir / f"{name}.hea").read_text())
+    hea = data_dir / f"{name}.hea"
+    data = hea.read_bytes()
+    try:  # WFDB headers are ASCII
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{hea}: byte 0x{data[e.start]:02X} at offset {e.start} "
+                         "is not ASCII") from e
+    header = parse_header(text)
     if header.num_signals != 2:
         raise ParseError(
             f"record {name}: expected 2 signals, header declares {header.num_signals}"
@@ -314,8 +321,7 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     )
     channels = []
     for spec, raw in zip(header.signals, (raw1, raw2)):
-        mv = raw.astype(np.float64)
-        mv -= spec.adc_zero
+        mv = np.subtract(raw, spec.adc_zero, dtype=np.float64)
         mv /= spec.gain
         channels.append(mv)
     ann_samples, ann_codes = parse_annotations(

@@ -77,6 +77,18 @@ class TestIngest:
         assert run(["ingest", "--data-dir", tmp_path, "--output-dir", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("command", ["ingest", "preprocess"])
+def test_non_ascii_header_exit_2(synth_db_small, tmp_path, capsys, command):
+    for ext in ("hea", "dat", "atr"):
+        shutil.copy(synth_db_small / f"100.{ext}", tmp_path / f"100.{ext}")
+    hea = tmp_path / "100.hea"
+    data = bytearray(hea.read_bytes())
+    data[5] = 0xFF
+    hea.write_bytes(bytes(data))
+    assert run([command, "--data-dir", tmp_path, "--output-dir", tmp_path / "o"]) == 2
+    assert "100.hea: byte 0xFF at offset 5 is not ASCII" in capsys.readouterr().err
+
+
 class TestPreprocess:
     def test_outputs_exist(self, preprocessed):
         assert (preprocessed / "train.ecgb").exists()

@@ -152,6 +152,22 @@ class TestPolyphaseSteps:
             dn._synthesis_step(np.zeros(4), np.zeros(5), 8)
 
 
+def universal_threshold_oracle(decomp):
+    """The `np.median` form of `universal_threshold`, kept as its bit-exact
+    reference."""
+    sigma = np.median(np.abs(decomp.details[0])) / 0.6745
+    return float(sigma * math.sqrt(2.0 * math.log(decomp.stage_lengths[0])))
+
+
+def assert_threshold_equal_to_oracle(d1):
+    """Same float as the oracle (or NaN for both) on level-1 details `d1`,
+    which are left as they were."""
+    decomp = dn.WaveletDecomposition(np.zeros(1), [d1.copy()], [2 * len(d1)])
+    got, want = dn.universal_threshold(decomp), universal_threshold_oracle(decomp)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert decomp.details[0].tobytes() == d1.tobytes()
+
+
 class TestThreshold:
     def test_all_zero_details_noop(self):
         decomp = dn.dwt_forward(np.full(256, 3.0), 8)
@@ -167,6 +183,31 @@ class TestThreshold:
         t = dn.universal_threshold(decomp)
         assert t == pytest.approx(math.sqrt(2 * math.log(1024)), abs=1e-6)
         assert t == pytest.approx(3.7230, abs=5e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 16, 17, 255, 256, 1000, 1001,
+                                   324_899, 324_900])
+    def test_universal_threshold_bit_equal_to_median(self, n):
+        rng = np.random.default_rng(n)
+        ties = rng.integers(-2, 3, n).astype(np.float64)
+        for d1 in (rng.standard_normal(n), ties, ties * 0.1, np.full(n, -0.3), np.zeros(n)):
+            assert_threshold_equal_to_oracle(d1)
+        for special in (np.nan, np.inf):
+            d1 = rng.standard_normal(n)
+            d1[rng.integers(n)] = special
+            assert_threshold_equal_to_oracle(d1)
+
+    def test_universal_threshold_bit_equal_to_median_every_length(self):
+        """Details sorted high to low make |d1| fall then rise; after the
+        partition the lower part's max is then often not at kth - 1."""
+        rng = np.random.default_rng(0)
+        for n in range(1, 521):
+            assert_threshold_equal_to_oracle(np.sort(rng.standard_normal(n))[::-1].copy())
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, 3.0, -7.25]),
+                    min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_universal_threshold_bit_equal_to_median_property(self, values):
+        assert_threshold_equal_to_oracle(np.array(values))
 
     def test_soft_shrinkage_values(self):
         assert dn.apply_threshold(np.array([5.0]), 3.0, "soft")[0] == pytest.approx(2.0)

@@ -46,6 +46,22 @@ def make_beats(n, classes=5):
                             for i in range(n)])
 
 
+def save_segments_oracle(beats):
+    """The bytes of the per-row `np.rec.fromarrays` + `struct.pack` encoder,
+    kept as the bit-exact reference for `save_segments`."""
+    fixed = np.rec.fromarrays([beats.annotation_index, beats.labels, beats.samples],
+                              dtype=sg._FIXED)
+    rows = (struct.pack("<H", len(rid)) + rid + row.tobytes()
+            for rid, row in zip((r.encode() for r in beats.record_ids), fixed))
+    head = sg.DATASET_MAGIC + struct.pack("<HI", sg.DATASET_VERSION, len(beats))
+    return head + b"".join(rows)
+
+
+def assert_saves_as_oracle(beats, path):
+    sg.save_segments(beats, path)
+    assert path.read_bytes() == save_segments_oracle(beats)
+
+
 def keys(beats):
     """The (record id, annotation index) key of each row, as Python values."""
     return list(zip(beats.record_ids.tolist(), beats.annotation_index.tolist()))
@@ -418,7 +434,7 @@ class TestDatasetFile:
         segs = sg.Beats.concat([make_segment(BeatClass(i % 5), rid, 7 * i + 2**31, i)
                                 for i, rid in enumerate(ids)])
         path = tmp_path / "m.ecgb"
-        sg.save_segments(segs, path)
+        assert_saves_as_oracle(segs, path)
         want = oracle_load(path.read_bytes())
         loaded = sg.load_segments(path)
         assert keys(loaded) == [(rid, ann) for rid, ann, _, _ in want]
@@ -426,6 +442,25 @@ class TestDatasetFile:
         assert loaded.samples.tobytes() == np.stack([s for *_, s in want]).tobytes()
         sg.save_segments(loaded, tmp_path / "again.ecgb")
         assert (tmp_path / "again.ecgb").read_bytes() == path.read_bytes()
+
+    def test_empty_table_equal_to_oracle(self, tmp_path):
+        assert_saves_as_oracle(sg.EMPTY, tmp_path / "e.ecgb")
+
+    @given(st.lists(st.tuples(st.sampled_from(["100", "232", "", "ü", "x" * 300]),
+                              st.integers(0, len(BeatClass) - 1),
+                              st.integers(0, 2**32 - 1)), max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_interleaved_ids_equal_to_oracle(self, tmp_path, rows, seed):
+        """Repeated and interleaved record ids share one cached prefix each."""
+        samples = np.random.default_rng(seed).standard_normal((len(rows), 180))
+        samples[:, :3] = -0.0, np.inf, np.nan
+        beats = sg.Beats(samples.astype(np.float32),
+                         np.array([label for _, label, _ in rows], np.int64),
+                         np.array([rid for rid, _, _ in rows], object),
+                         np.array([ann for *_, ann in rows], np.int64))
+        assert_saves_as_oracle(beats, tmp_path / "h.ecgb")
 
     @pytest.mark.parametrize("label", [5, 255])
     def test_label_out_of_range(self, tmp_path, label):
