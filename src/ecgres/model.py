@@ -27,11 +27,11 @@ from .wfdb_io import BeatClass
 
 # Inference runs in chunks of at least this many rows, so activation memory
 # does not grow with the batch. The convs of every chunk build their im2col
-# matrices and GEMM outputs in one shared scratch and its ReLUs work in place
-# (see nn), so a chunk reuses the last one's memory. The arrays left, such as
-# conv1's ~3.3 MB 256 x 18 x 90 float64 output, lie above glibc's initial
-# 128 KiB mmap threshold; they are reused only once freeing one has raised
-# that threshold, which an explicit MALLOC_MMAP_THRESHOLD_ stops. On OpenBLAS's
+# matrices in one shared scratch and its ReLUs work in place (see nn), so a
+# chunk reuses the last one's im2col memory. The arrays left, such as the
+# GEMM output of conv1, ~3.3 MB of 18 x 256 x 90 float64, lie above glibc's
+# initial 128 KiB mmap threshold; they are reused only once freeing one has
+# raised that threshold, which an explicit MALLOC_MMAP_THRESHOLD_ stops. On OpenBLAS's
 # SkylakeX kernels, fc2's (rows x 64)·(64 x 5) product switches to a kernel
 # with different rounding below ~255 rows, so a short trailing chunk would
 # change logits; np.array_split spreads the remainder over the chunks instead.

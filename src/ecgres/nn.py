@@ -1,31 +1,34 @@
 """Minimal deterministic tensor engine with hand-written gradients.
 
 Parameters are stored as float32; layers compute in the dtype of their
-input, which the model makes float64. Activations are C-contiguous arrays
-shaped (batch, channels, length), or (batch, features) after `Flatten`. Caching
-is per call: `forward(x)` keeps what the next `backward` needs, while
-`forward(x, cache=False)` computes the same output, keeps no backward state
-and drops what an earlier call kept, so inference holds no activations
-beyond the one in flight. Parameter gradients land in the layer's `grads`
-dict. No autodiff graph: a model is an ordered layer list, run forward in
-order and backward in reverse.
+input, which the model makes float64. Activations are shaped (batch,
+channels, length), or (batch, features) after `Flatten`. Up to `Flatten`
+their memory is channel-major: each is a `.transpose(1, 0, 2)` view of a
+C-contiguous (channels, batch, length) array, the layout that a conv's GEMM
+writes and the next conv's im2col reads; `Flatten` copies into the
+(channels, length) feature order. Caching is per call: `forward(x)` keeps
+what the next `backward` needs, while `forward(x, cache=False)` computes the
+same output, keeps no backward state and drops what an earlier call kept, so
+inference holds no activations beyond the one in flight. Parameter gradients
+land in the layer's `grads` dict. No autodiff graph: a model is an ordered
+layer list, run forward in order and backward in reverse.
 
 An uncached forward reuses memory. `ReLU` writes its output over its input
 (in the model, every ReLU reads an array the layer before it has just made).
-`Conv1d` builds its im2col matrix and GEMM output in one process-wide
-scratch buffer shared by every `Conv1d`, and still returns a fresh array.
+`Conv1d` builds its im2col matrix in one process-wide scratch buffer shared
+by every `Conv1d`; its GEMM writes a fresh output, which the caller owns.
 The scratch holds only values that are dead once `forward` returns. It only
-grows, to the largest uncached conv forward seen: 3.9 MB of float64 for
-conv1 at 256 rows (69,120 im2col and 414,720 output values), under twice
-that at `model.predict_batch`'s chunks of fewer than 512 rows. It is not
+grows, to the largest uncached im2col matrix seen: 2.5 MB of float64 for
+conv2 at 256 rows (317,952 values), under twice that at
+`model.predict_batch`'s chunks of fewer than 512 rows. It is not
 thread-safe: two threads must not run uncached conv forwards at once.
 
 `Conv1d` is lowered to matrix products (im2col): its forward fills a
-(batch*length, channels*kernel) matrix tap by tap with strided slices of the
-unpadded input, zeroing the rows that read padding, and multiplies it by the
-(out_channels, channels*kernel) weights; its backward is one product for the
-weight gradient and one for the window gradients, whose `kernel` taps are
-added straight into the unpadded input gradient (col2im).
+(channels*kernel, batch*length) matrix tap by tap with strided slices of the
+unpadded input, zeroing the positions that read padding, and multiplies the
+(out_channels, channels*kernel) weights by it; its backward is one product
+for the weight gradient and one for the window gradients, whose `kernel`
+taps are added straight into the unpadded input gradient (col2im).
 """
 from __future__ import annotations
 
@@ -77,16 +80,6 @@ class Conv1d(Layer):
     def out_length(self, n):
         return (n + 2 * self.padding - self.kernel) // self.stride + 1
 
-    @staticmethod
-    def _scratch_arrays(dtype, n_cols, n_y):
-        """Two disjoint flat arrays of n_cols and n_y values, end to end in
-        the shared scratch and holding whatever the last forward left there."""
-        need = (n_cols + n_y) * np.dtype(dtype).itemsize
-        if Conv1d._scratch.nbytes < need:
-            Conv1d._scratch = np.empty(need, dtype=np.uint8)
-        buf = Conv1d._scratch[:need].view(dtype)
-        return buf[:n_cols], buf[n_cols:]
-
     def forward(self, x, cache=True):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -98,35 +91,39 @@ class Conv1d(Layer):
             )
         b_, c, n = x.shape
         lo, k, o = self.out_length(n), self.kernel, len(self.params["w"])
-        # im2col: rows (batch, position), columns (channel, tap); tap m of row
-        # i reads x[i*stride + m - padding], and rows outside [0, n) read zero.
-        # A backward needs the matrix, so only an uncached forward writes it,
-        # and the GEMM output, into the scratch
+        # im2col: rows (channel, tap), columns (batch, position); tap m of
+        # position i reads x[i*stride + m - padding], and positions outside
+        # [0, n) read zero. A backward needs the matrix, so only an uncached
+        # forward builds it in the scratch
         if cache:
-            cols, y = np.empty((b_, lo, c, k), dtype=x.dtype), None
+            cols = np.empty((c, k, b_, lo), dtype=x.dtype)
         else:
-            cols, y = self._scratch_arrays(x.dtype, b_ * lo * c * k, b_ * lo * o)
-            cols, y = cols.reshape(b_, lo, c, k), y.reshape(b_ * lo, o)
+            need = c * k * b_ * lo * x.itemsize
+            if Conv1d._scratch.nbytes < need:
+                Conv1d._scratch = np.empty(need, dtype=np.uint8)
+            cols = Conv1d._scratch[:need].view(x.dtype).reshape(c, k, b_, lo)
+        xc = x.transpose(1, 0, 2)
         for m, i0, i1, src in self._taps(n, lo):
-            cols[:, :i0, :, m] = 0.0
-            cols[:, i0:i1, :, m] = x[:, :, src].transpose(0, 2, 1)
-            cols[:, i1:, :, m] = 0.0
-        cols = cols.reshape(b_ * lo, c * k)
+            cols[:, m, :, :i0] = 0.0
+            cols[:, m, :, i0:i1] = xc[:, :, src]
+            cols[:, m, :, i1:] = 0.0
+        cols = cols.reshape(c * k, b_ * lo)
         self._cols = cols if cache else None
         self._x_shape = x.shape
         # compute in the activation dtype (float64 in the model); the BLAS
-        # may still pick its kernel by row count, which is why inference
+        # may still pick its kernel by the batch size, which is why inference
         # splits batches into chunks of at least model.PREDICT_ROWS rows
         w = self.params["w"].astype(x.dtype, copy=False)
-        y = np.matmul(cols, w.reshape(o, -1).T, out=y)
-        y += self.params["b"].astype(x.dtype, copy=False)
-        # a copy, never a view of the scratch, so the caller may keep it
-        return y.reshape(b_, lo, o).transpose(0, 2, 1).copy()
+        y = w.reshape(o, -1) @ cols
+        y += self.params["b"].astype(x.dtype, copy=False)[:, None]
+        # the product is a fresh array, never the scratch, so the caller may
+        # keep it; the channel-major view costs no copy
+        return y.reshape(o, b_, lo).transpose(1, 0, 2)
 
     def _taps(self, n, lo):
-        """(m, i0, i1, src) per tap m: of the lo output rows, rows i0 <= i < i1
-        read an input inside [0, n), namely x[..., src]; i0 == i1 when none
-        does, and then src is empty."""
+        """(m, i0, i1, src) per tap m: of the lo output positions, positions
+        i0 <= i < i1 read an input inside [0, n), namely x[..., src]; i0 == i1
+        when none does, and then src is empty."""
         s, p = self.stride, self.padding
         for m in range(self.kernel):
             i0 = min(lo, max(0, -((m - p) // s)))
@@ -136,17 +133,20 @@ class Conv1d(Layer):
 
     def backward(self, gy):
         b_, o, lo = gy.shape
+        c, n = self.in_channels, self._x_shape[2]
         w = self.params["w"].astype(gy.dtype, copy=False)
-        g2 = gy.transpose(0, 2, 1).reshape(b_ * lo, o)
-        self.grads["w"] = (g2.T @ self._cols).reshape(w.shape)
-        self.grads["b"] = gy.sum(axis=(0, 2))
-        # col2im: column (c, m) of row (b, i) goes back to input i*stride + m - padding,
-        # taps added in order; rows that read padding are dropped
-        gcols = (g2 @ w.reshape(o, -1)).reshape(b_, lo, self.in_channels, self.kernel)
-        gx = np.zeros(self._x_shape, dtype=gcols.dtype)
-        for m, i0, i1, src in self._taps(self._x_shape[2], lo):
-            gx[:, :, src] += gcols[:, i0:i1, :, m].transpose(0, 2, 1)
-        return gx.astype(gy.dtype, copy=False)
+        g2 = gy.transpose(1, 0, 2).reshape(o, b_ * lo)
+        self.grads["w"] = (g2 @ self._cols.T).reshape(w.shape)
+        # numpy orders a sum's additions by the memory layout; summed in C
+        # order, the bias gradient keeps the bytes of the batch-major layout
+        self.grads["b"] = np.ascontiguousarray(gy).sum(axis=(0, 2))
+        # col2im: row (c, m) of column (b, i) goes back to input i*stride + m - padding,
+        # taps added in order; positions that read padding are dropped
+        gcols = (w.reshape(o, -1).T @ g2).reshape(c, self.kernel, b_, lo)
+        gx = np.zeros((c, b_, n), dtype=gcols.dtype)
+        for m, i0, i1, src in self._taps(n, lo):
+            gx[:, :, src] += gcols[:, m, :, i0:i1]
+        return gx.astype(gy.dtype, copy=False).transpose(1, 0, 2)
 
 
 class ReLU(Layer):
@@ -186,19 +186,22 @@ class MaxPool1d(Layer):
         if lo == 0:
             raise ShapeError(f"pool window {self.window} exceeds length {n}")
         # running max over the window taps; strict > keeps ties on the first
-        # tap, whose index is tracked only for a backward to come. Tap k
-        # reaches only the first v.shape[2] outputs: the ceil-mode tail
-        # window is short
+        # tap, whose index is tracked only for a backward to come: every
+        # index so far is below k, so the max sets k exactly where v > yk.
+        # Tap k reaches only the first v.shape[2] outputs: the ceil-mode
+        # tail window is short. Order "K" and zeros_like keep the input's
+        # memory order
         span = lo * self.stride
-        y = x[:, :, 0:span:self.stride].copy()
+        y = x[:, :, 0:span:self.stride].copy(order="K")
         arg = None
         if cache:
-            arg = np.zeros(y.shape, dtype=np.min_scalar_type(self.window - 1))
+            arg = np.zeros_like(y, dtype=np.min_scalar_type(self.window - 1))
         for k in range(1, self.window):
             v = x[:, :, k : k + span : self.stride]
             yk = y[:, :, : v.shape[2]]
             if cache:
-                np.putmask(arg[:, :, : v.shape[2]], v > yk, k)
+                argk = arg[:, :, : v.shape[2]]
+                np.maximum(argk, (v > yk) * arg.dtype.type(k), out=argk)
             np.maximum(yk, v, out=yk)
         self._arg = arg
         self._shape = (*x.shape[:2], max(span - self.stride + self.window, n))
@@ -206,7 +209,8 @@ class MaxPool1d(Layer):
         return y
 
     def backward(self, gy):
-        gx = np.zeros(self._shape, dtype=gy.dtype)
+        b_, c, n = self._shape
+        gx = np.zeros((c, b_, n), dtype=gy.dtype).transpose(1, 0, 2)
         span = gy.shape[2] * self.stride
         for k in range(self.window):
             gx[:, :, k : k + span : self.stride] += gy * (self._arg == k)
@@ -221,7 +225,9 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, gy):
-        return gy.reshape(self._shape)
+        # back in the channel-major layout of the layers before it
+        g = gy.reshape(self._shape).transpose(1, 0, 2)
+        return np.ascontiguousarray(g).transpose(1, 0, 2)
 
 
 class Residual(Layer):

@@ -165,6 +165,10 @@ def parse_header(text: str) -> RecordHeader:
             raise UnsupportedFormat(
                 f"line {lineno}: signal format {fmt} (only 212 supported)"
             )
+        if not -2048 <= adc_zero <= 2047:
+            raise ParseError(
+                f"line {lineno}: ADC zero outside format 212's 12-bit range [-2048, 2047]"
+            )
         description = " ".join(toks[8:]) if len(toks) > 8 else f"sig{i}"
         signals.append(SignalSpec(toks[0], fmt, gain, adc_zero, description))
 

@@ -76,6 +76,22 @@ class TestIngest:
         hea.write_text("\n".join(lines) + "\n")
         assert run(["ingest", "--data-dir", tmp_path, "--output-dir", tmp_path / "o"]) == 2
 
+    @pytest.mark.parametrize("adc_zero", ["1" + "0" * 400, "2048", "-2049"],
+                             ids=["1e400", "2048", "-2049"])
+    def test_adc_zero_outside_12_bits_exit_2(self, synth_db_small, tmp_path, capsys,
+                                             adc_zero):
+        # a float64-overflowing ADC zero used to escape as an OverflowError
+        for ext in ("hea", "dat", "atr"):
+            shutil.copy(synth_db_small / f"100.{ext}", tmp_path / f"100.{ext}")
+        hea = tmp_path / "100.hea"
+        lines = hea.read_text().splitlines()
+        toks = lines[1].split()
+        toks[4] = adc_zero
+        lines[1] = " ".join(toks)
+        hea.write_text("\n".join(lines) + "\n")
+        assert run(["ingest", "--data-dir", tmp_path, "--output-dir", tmp_path / "o"]) == 2
+        assert "line 2: ADC zero outside format 212's 12-bit range" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", ["ingest", "preprocess"])
 def test_non_ascii_header_exit_2(synth_db_small, tmp_path, capsys, command):

@@ -292,6 +292,30 @@ class TestPredictBatch:
         small_model.forward(x, cache=False)
         assert x.tobytes() == before
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_activations_are_channel_major(self, beats, small_model, cache, monkeypatch):
+        # every conv, ReLU and pool output before Flatten is a (batch,
+        # channels, length) view of a C-ordered (channels, batch, length) array
+        seen = {}
+        for name, layer in small_model._named.items():
+            def forward(x, cache=True, name=name, inner=layer.forward):
+                seen[name] = inner(x, cache=cache)
+                return seen[name]
+            monkeypatch.setattr(layer, "forward", forward)
+        small_model.forward(beats[:8], cache=cache)
+        before_flatten = [n for n in seen if seen[n].ndim == 3]
+        assert before_flatten == ["conv1", "relu1", "pool1", "conv2", "relu2", "pool2",
+                                  "res_conv1", "res_relu", "res_conv2", "res_proj", "relu3"]
+        for name in before_flatten:
+            assert seen[name].transpose(1, 0, 2).flags.c_contiguous, name
+
+    def test_scratch_holds_only_the_largest_im2col(self, beats, small_model, monkeypatch):
+        monkeypatch.setattr(nn.Conv1d, "_scratch", np.empty(0, dtype=np.uint8))
+        md.predict_batch(small_model, beats[:300])
+        # conv2's float64 im2col matrix: 18 channels x 3 taps by 300 beats x
+        # 23 positions; no GEMM output shares the scratch
+        assert nn.Conv1d._scratch.nbytes == 18 * 3 * 300 * 23 * 8
+
     def test_evaluate_accuracy_is_share_of_predictions(self, beats, small_model):
         x = beats[:300]
         pred, _ = md.predict_batch(small_model, x)

@@ -65,6 +65,10 @@ class TestParseHeader:
         "x.dat 212 high 11 1024 0 0 0 MLII",  # non-numeric gain
         "x.dat 212 200 11 10.5 0 0 0 MLII",   # non-integer ADC zero
         "x.dat 212 200 11 zero 0 0 0 MLII",
+        "x.dat 212 200 11 2048 0 0 0 MLII",   # ADC zero outside 12 bits
+        "x.dat 212 200 11 -2049 0 0 0 MLII",
+        pytest.param("x.dat 212 200 11 1" + "0" * 400 + " 0 0 0 MLII",
+                     id="x.dat 212 200 11 1e400 0 0 0 MLII"),  # beyond float64
     ])
     def test_bad_signal_fields_raise_parse_error(self, line):
         with pytest.raises(ParseError, match="line 2"):
@@ -110,7 +114,7 @@ class TestParseHeaderFuzz:
         except EcgresError:
             return
         assert h.num_signals == len(h.signals) > 0 and h.num_samples > 0
-        assert all(np.isfinite(s.gain) for s in h.signals)
+        assert all(np.isfinite(s.gain) and -2048 <= s.adc_zero <= 2047 for s in h.signals)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.text(max_size=200),
