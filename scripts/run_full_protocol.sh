@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full experimental protocol on the real database: 13200 beats per set,
-# 300 epochs of Adam at lr 0.001, batch 32. Training takes about 5 minutes
-# on a 2-core Xeon (13,200 x 300 beats at the ~12,900-13,000 beats/s that
+# 300 epochs of Adam at lr 0.001, batch 32. Training takes about 4.5 minutes
+# on a 2-core Xeon (13,200 x 300 beats at the ~14,300-14,800 beats/s that
 # `perfbench/run.py --workload train` measures there).
 #
 #   MITDB_DIR=/path/to/mitdb ./scripts/run_full_protocol.sh [output_dir]

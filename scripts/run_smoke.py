@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Quick end-to-end smoke run: small subset, 50 epochs, about a minute.
 
-Uses MITDB_DIR when set; otherwise generates a synthetic database in a
-temporary directory, removed when the run ends. After preprocess, each
-`.ecgb` is loaded and saved again, and must come out byte for byte the same.
+Runs all five commands: ingest, preprocess, train, evaluate and a predict of
+one annotated beat of record 100. Uses MITDB_DIR when set; otherwise
+generates a synthetic database in a temporary directory, removed when the
+run ends. After preprocess, each `.ecgb` is loaded and saved again, and must
+come out byte for byte the same.
 
     python scripts/run_smoke.py [--out runs/smoke]
 """
@@ -28,12 +30,15 @@ def check_resave(out):
 
 def run_pipeline(data_dir, args):
     base = ["--data-dir", data_dir, "--output-dir", args.out, "--seed", "0"]
+    checkpoint = ["--checkpoint", f"{args.out}/checkpoint.ecgm"]
     for argv in (
+        ["ingest", *base],
         ["preprocess", *base, "--per-set-size", str(args.limit)],
         ["train", *base, "--epochs", str(args.epochs)],
-        ["evaluate", "--checkpoint", f"{args.out}/checkpoint.ecgm",
-         "--dataset", f"{args.out}/test.ecgb",
+        ["evaluate", *checkpoint, "--dataset", f"{args.out}/test.ecgb",
          "--output-dir", f"{args.out}/metrics", "--seed", "0"],
+        ["predict", *checkpoint, "--data-dir", data_dir, "--record", "100",
+         "--annotation-index", "10"],
     ):
         rc = cli.main(argv)
         if rc != 0:

@@ -3,13 +3,21 @@
 Layer graph (`ARCHITECTURE`, lengths in parentheses):
 
     input (1x180)
-      -> Conv(18, k3, s2, p1) + ReLU        (90)
-      -> MaxPool(2, 2)                      (45)
-      -> Conv(18, k3, s2, p1) + ReLU        (23)
-      -> MaxPool(2, 2, ceil)                (12)
+      -> Conv(18, k3, s2, p1)               (90)
+      -> MaxPool(2, 2) + ReLU               (45)
+      -> Conv(18, k3, s2, p1)               (23)
+      -> MaxPool(2, 2, ceil) + ReLU         (12)
       -> [ Conv(18, k7, s2, p3) + ReLU -> Conv(18, k7, s1, p3) ]   (6)
          + Conv(18, k1, s2) projection shortcut
       -> ReLU -> Flatten (108) -> Dense(64) + ReLU -> Dense(5)
+
+The paper's order is conv -> ReLU -> pool. Here each ReLU runs after its
+pool, on half the length, and the network is the same: ReLU is monotone, so
+max(relu(a), relu(b)) == relu(max(a, b)) for every input but -0.0, which a
+conv output never is (its bias would have to be -0.0, which neither the
+initialisation nor Adam makes). In either order the gradient reaches the
+first maximum of a window exactly when that maximum is positive; only the
+sign of a zero gradient may differ, which Adam's update does not see.
 """
 from __future__ import annotations
 
@@ -104,11 +112,11 @@ class Model:
 
         self.layers = [
             named("conv1", nn.Conv1d(1, f, k, s, k // 2, rng)),
-            named("relu1", nn.ReLU()),
             named("pool1", nn.MaxPool1d(pw, ps, ceil_mode=True)),
+            named("relu1", nn.ReLU()),
             named("conv2", nn.Conv1d(f, f, k, s, k // 2, rng)),
-            named("relu2", nn.ReLU()),
             named("pool2", nn.MaxPool1d(pw, ps, ceil_mode=True)),
+            named("relu2", nn.ReLU()),
             nn.Residual(
                 [named("res_conv1", nn.Conv1d(f, r, rk, rs, rk // 2, rng)),
                  named("res_relu", nn.ReLU()),

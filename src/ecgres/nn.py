@@ -27,8 +27,13 @@ thread-safe: two threads must not run uncached conv forwards at once.
 (channels*kernel, batch*length) matrix tap by tap with strided slices of the
 unpadded input, zeroing the positions that read padding, and multiplies the
 (out_channels, channels*kernel) weights by it; its backward is one product
-for the weight gradient and one for the window gradients, whose `kernel`
-taps are added straight into the unpadded input gradient (col2im).
+for the weight gradient and one for the window gradients, which one
+`np.bincount` adds into the unpadded input gradient (col2im). It adds each
+input position's taps in tap order, starting from 0.0, so its sums are
+those of a loop of per-tap adds. Its index (the input position of each
+im2col entry) depends only on the batch size and length; a conv keeps the
+last two it built, training's full and last batch. At batch 32 the model's
+five convs hold 100,224 indices, 0.8 MB of intp.
 """
 from __future__ import annotations
 
@@ -76,6 +81,7 @@ class Conv1d(Layer):
             -bound, bound, (out_channels, in_channels, kernel)
         ).astype(np.float32)
         self.params["b"] = np.zeros(out_channels, dtype=np.float32)
+        self._col2im: dict[tuple[int, int], np.ndarray] = {}
 
     def out_length(self, n):
         return (n + 2 * self.padding - self.kernel) // self.stride + 1
@@ -131,6 +137,16 @@ class Conv1d(Layer):
             j0 = max(0, i0 * s + m - p)
             yield m, i0, i1, slice(j0, j0 + (i1 - i0) * s, s)
 
+    def _col2im_index(self, b_, n, lo):
+        """Flat (channels, batch, n) input position of each im2col entry (c, m,
+        b, i), in im2col order: c*b_*n + b*n + i*stride + m - padding, or the
+        extra bin c*b_*n when the entry reads padding."""
+        c = self.in_channels
+        m = np.arange(self.kernel) - self.padding
+        j = (np.arange(lo) * self.stride + m[:, None])[:, None, :]
+        rows = (np.arange(c)[:, None] * b_ + np.arange(b_)) * n
+        return np.where((j >= 0) & (j < n), rows[:, None, :, None] + j, c * b_ * n).ravel()
+
     def backward(self, gy):
         b_, o, lo = gy.shape
         c, n = self.in_channels, self._x_shape[2]
@@ -140,13 +156,17 @@ class Conv1d(Layer):
         # numpy orders a sum's additions by the memory layout; summed in C
         # order, the bias gradient keeps the bytes of the batch-major layout
         self.grads["b"] = np.ascontiguousarray(gy).sum(axis=(0, 2))
-        # col2im: row (c, m) of column (b, i) goes back to input i*stride + m - padding,
-        # taps added in order; positions that read padding are dropped
-        gcols = (w.reshape(o, -1).T @ g2).reshape(c, self.kernel, b_, lo)
-        gx = np.zeros((c, b_, n), dtype=gcols.dtype)
-        for m, i0, i1, src in self._taps(n, lo):
-            gx[:, :, src] += gcols[:, m, :, i0:i1]
-        return gx.astype(gy.dtype, copy=False).transpose(1, 0, 2)
+        # col2im: bincount adds in im2col order, so each input position's
+        # taps in tap order; the entries that read padding land in the extra
+        # last bin, which is dropped
+        idx = self._col2im.get((b_, n))
+        if idx is None:
+            if len(self._col2im) == 2:
+                self._col2im.clear()
+            idx = self._col2im[b_, n] = self._col2im_index(b_, n, lo)
+        gcols = w.reshape(o, -1).T @ g2
+        gx = np.bincount(idx, weights=gcols.ravel(), minlength=c * b_ * n + 1)
+        return gx[:-1].reshape(c, b_, n).astype(gy.dtype, copy=False).transpose(1, 0, 2)
 
 
 class ReLU(Layer):

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. Criteria that need the real
 MIT-BIH files (1, and the full-protocol variant of 5) are skipped unless
 MITDB_DIR points at them; the pipeline-contract criteria run on the bundled
 synthetic database generator. The full 300-epoch protocol additionally wants
-ECGRES_FULL_PROTOCOL=1 (~5 min of CPU training); scripts/run_full_protocol.sh is
+ECGRES_FULL_PROTOCOL=1 (~4.5 min of CPU training); scripts/run_full_protocol.sh is
 the stand-alone invocation.
 """
 import os

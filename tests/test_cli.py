@@ -4,13 +4,16 @@ import re
 import shlex
 import shutil
 import struct
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgres import cli, errors
+from ecgres import cli, errors, synthetic
 from ecgres import model as md
 from ecgres import segment as sg
 from ecgres import wfdb_io as wf
@@ -487,3 +490,64 @@ def test_full_protocol_script_flags_parse():
         cmd = re.sub(r"\$\{?(\w+)\}?", lambda m: values[m.group(1)], cmd)
         args = cli.build_parser().parse_args(shlex.split(cmd))
         assert args.command in ("preprocess", "train", "evaluate")
+
+
+# The exit codes the CLI documents (cli's module docstring).
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """The bytes of a one-record database, its preprocessed sets and a
+    one-epoch checkpoint, made once for every corruption below."""
+    root = tmp_path_factory.mktemp("pristine")
+    synthetic.make_database(root, duration_s=60, seed=11, records=["100"])
+    assert run(["preprocess", "--data-dir", root, "--output-dir", root]) == 0
+    assert run(["train", "--data-dir", root, "--output-dir", root, "--epochs", 1,
+                "--limit", 32]) == 0
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.suffix != ".csv"}
+
+
+def corrupt(draw, data: bytes) -> bytes:
+    """One drawn corruption: a byte set, a truncation, appended bytes or one
+    space-separated token replaced (a header field, in a .hea file)."""
+    kind = draw(st.sampled_from(["set", "truncate", "append", "token"]))
+    if kind == "set":
+        pos = draw(st.integers(0, len(data) - 1))
+        return data[:pos] + bytes([draw(st.integers(0, 255))]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    toks = data.split(b" ")
+    pos = draw(st.integers(0, len(toks) - 1))
+    toks[pos] = draw(st.sampled_from(
+        [b"", b"0", b"-1", b"1e400", b"nan", b"99999999999999999999", b"x", b"212+1"]))
+    return b" ".join(toks)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_corrupted_input_ends_in_a_documented_exit_code(pristine, data):
+    """One corrupted file through every command that reads it, via cli.main:
+    a WFDB file through ingest, preprocess and predict, a .ecgb or .ecgm file
+    through evaluate and train. No exception may escape and only a
+    documented exit code may come back."""
+    name = data.draw(st.sampled_from(sorted(pristine)), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for other, content in pristine.items():
+            (work / other).write_bytes(content)
+        (work / name).write_bytes(corrupt(data.draw, pristine[name]))
+        common = ["--data-dir", work, "--output-dir", work / "out", "--seed", 0]
+        predict = ["predict", *common, "--checkpoint", work / "checkpoint.ecgm",
+                   "--record", "100", "--annotation-index", 5]
+        if name.endswith((".hea", ".dat", ".atr")):
+            commands = [["ingest", *common], ["preprocess", *common], predict]
+        else:
+            dataset = work / (name if name.endswith(".ecgb") else "test.ecgb")
+            commands = [["evaluate", *common, "--checkpoint", work / "checkpoint.ecgm",
+                         "--dataset", dataset],
+                        ["train", "--output-dir", work, "--epochs", 1, "--limit", 32]]
+        for argv in commands:
+            assert run(argv) in DOCUMENTED_EXIT_CODES, argv[0]

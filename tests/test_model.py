@@ -56,7 +56,7 @@ class TestBuildModel:
         assert not np.array_equal(m1.params()["conv1.w"], m2.params()["conv1.w"])
 
     def test_layer_list_covers_named_layers(self, small_model):
-        names = ["conv1", "relu1", "pool1", "conv2", "relu2", "pool2", "res_conv1",
+        names = ["conv1", "pool1", "relu1", "conv2", "pool2", "relu2", "res_conv1",
                  "res_relu", "res_conv2", "res_proj", "relu3", "fc1", "relu4", "fc2"]
         assert list(small_model._named) == names
         assert all(getattr(small_model, n) is small_model._named[n] for n in names)
@@ -304,7 +304,7 @@ class TestPredictBatch:
             monkeypatch.setattr(layer, "forward", forward)
         small_model.forward(beats[:8], cache=cache)
         before_flatten = [n for n in seen if seen[n].ndim == 3]
-        assert before_flatten == ["conv1", "relu1", "pool1", "conv2", "relu2", "pool2",
+        assert before_flatten == ["conv1", "pool1", "relu1", "conv2", "pool2", "relu2",
                                   "res_conv1", "res_relu", "res_conv2", "res_proj", "relu3"]
         for name in before_flatten:
             assert seen[name].transpose(1, 0, 2).flags.c_contiguous, name

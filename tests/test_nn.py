@@ -118,6 +118,21 @@ def maxpool_padded(layer, x, gy):
     return y, arg, gx[:, :, :n]
 
 
+def col2im_tap_loop(layer, gy):
+    """Conv1d's input gradient as it was before the bincount col2im: the
+    window gradients of each tap, in tap order, added into zeros. Call it
+    after `layer.backward(gy)`, which it reads the input length of."""
+    b_, o, lo = gy.shape
+    c, n = layer.in_channels, layer._x_shape[2]
+    w = layer.params["w"].astype(gy.dtype, copy=False)
+    g2 = gy.transpose(1, 0, 2).reshape(o, b_ * lo)
+    gcols = (w.reshape(o, -1).T @ g2).reshape(c, layer.kernel, b_, lo)
+    gx = np.zeros((c, b_, n), dtype=gcols.dtype)
+    for m, i0, i1, src in layer._taps(n, lo):
+        gx[:, :, src] += gcols[:, m, :, i0:i1]
+    return gx.astype(gy.dtype, copy=False).transpose(1, 0, 2)
+
+
 def make_conv(in_ch, out_ch, kernel, stride, padding, seed=0):
     layer = nn.Conv1d(in_ch, out_ch, kernel, stride, padding,
                       rng=np.random.default_rng(seed))
@@ -409,6 +424,90 @@ class TestPadFreeLowering:
         y_want, _, _, gx_want, _ = conv1d_padded(layer, x, gy)
         assert y.tobytes() == y_want.tobytes()
         assert layer.backward(gy).tobytes() == gx_want.tobytes()
+
+
+class TestCol2imBincount:
+    """Conv1d's bincount col2im gives the tap loop's input gradient byte for
+    byte (col2im_tap_loop), for every batch size a layer sees in turn."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_tap_loop(self, data):
+        draw = data.draw
+        kernel, stride = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+        padding = draw(st.integers(0, kernel))
+        in_ch, out_ch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        shortest = max(1, kernel - 2 * padding)
+        if draw(st.booleans()):
+            # shorter than kernel - padding: tap 0 reads only padding
+            assume(shortest <= kernel - padding - 1)
+            length = draw(st.integers(shortest, kernel - padding - 1))
+        else:
+            length = draw(st.integers(shortest, 40))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        layer = nn.Conv1d(in_ch, out_ch, kernel, stride, padding, rng=rng)
+        if length < kernel - padding:
+            assert any(i0 == i1 for _, i0, i1, _ in layer._taps(length, 1))
+        # a second and third batch size, then the first again: the index is
+        # rebuilt for each shape, never reused for another
+        sizes = draw(st.permutations([1, 16, 32]))
+        for batch in [*sizes, sizes[0]]:
+            x = rng.standard_normal((batch, in_ch, length))
+            gy = rng.standard_normal((batch, out_ch, layer.out_length(length)))
+            layer.forward(x)
+            gx = layer.backward(gy)
+            assert gx.shape == x.shape
+            assert gx.transpose(1, 0, 2).flags.c_contiguous
+            assert gx.tobytes() == col2im_tap_loop(layer, gy).tobytes(), batch
+        assert len(layer._col2im) <= 2
+
+
+class TestReluAfterPool:
+    """conv -> pool -> ReLU is conv -> ReLU -> pool: byte-equal forwards, and
+    gradients equal as numbers (a zero may change sign). Small integer
+    weights and inputs make the conv exact, with many ties between window
+    taps and windows of only negative values."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_forward_and_gradients(self, data):
+        draw = data.draw
+        batch, in_ch, out_ch = (draw(st.integers(1, 4)) for _ in range(3))
+        kernel, stride = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        padding = draw(st.integers(0, kernel // 2))
+        window, pool_stride = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        ceil_mode = draw(st.booleans())
+        length = draw(st.integers(max(1, kernel - 2 * padding), 30))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        conv = nn.Conv1d(in_ch, out_ch, kernel, stride, padding)
+        conv.params["w"] = rng.integers(-1, 2, conv.params["w"].shape).astype(np.float32)
+        conv.params["b"] = rng.integers(-1, 2, out_ch).astype(np.float32)
+        x = rng.integers(-2, 3, (batch, in_ch, length)).astype(np.float64)
+        pool_len = nn.MaxPool1d(window, pool_stride, ceil_mode).out_length(
+            conv.out_length(length))
+        assume(pool_len > 0)
+        gy = rng.standard_normal((batch, out_ch, pool_len))
+
+        def run(relu_first):
+            pool, relu = nn.MaxPool1d(window, pool_stride, ceil_mode), nn.ReLU()
+            layers = [conv, relu, pool] if relu_first else [conv, pool, relu]
+            y = x
+            for layer in layers:
+                y = layer.forward(y)
+            g = gy
+            for layer in reversed(layers[1:]):
+                g = layer.backward(g)
+            gx = conv.backward(g)
+            uncached = x
+            for layer in layers:
+                uncached = layer.forward(uncached, cache=False)
+            return y, uncached, g, gx, conv.grads["w"].copy(), conv.grads["b"].copy()
+
+        (y1, u1, *g1), (y2, u2, *g2) = run(True), run(False)
+        assert y1.tobytes() == y2.tobytes()
+        assert u1.tobytes() == y1.tobytes() and u2.tobytes() == y2.tobytes()
+        for a, b in zip(g1, g2):
+            assert np.array_equal(a, b)
 
 
 class TestDense:
