@@ -34,15 +34,15 @@ from .segment import SEGMENT_SAMPLES, DatasetSplit, segments_to_arrays
 from .wfdb_io import BeatClass
 
 # Inference runs in chunks of at least this many rows, so activation memory
-# does not grow with the batch. The convs of every chunk build their im2col
-# matrices in one shared scratch and its ReLUs work in place (see nn), so a
-# chunk reuses the last one's im2col memory. The arrays left, such as the
-# GEMM output of conv1, ~3.3 MB of 18 x 256 x 90 float64, lie above glibc's
-# initial 128 KiB mmap threshold; they are reused only once freeing one has
-# raised that threshold, which an explicit MALLOC_MMAP_THRESHOLD_ stops. On OpenBLAS's
-# SkylakeX kernels, fc2's (rows x 64)·(64 x 5) product switches to a kernel
-# with different rounding below ~255 rows, so a short trailing chunk would
-# change logits; np.array_split spreads the remainder over the chunks instead.
+# does not grow with the batch. Each chunk allocates its arrays afresh, such
+# as conv2's 2.5 MB im2col matrix; glibc reuses arrays above its initial
+# 128 KiB mmap threshold only once freeing one has raised that threshold.
+# On 4,096 beats a predict_batch call after the first takes no minor page
+# faults, but ~57k and 2.4x the time when MALLOC_MMAP_THRESHOLD_ holds the
+# threshold fixed. On OpenBLAS's SkylakeX kernels, fc2's
+# (rows x 64)·(64 x 5) product switches to a kernel with different rounding
+# below ~255 rows, so a short trailing chunk would change logits;
+# np.array_split spreads the remainder over the chunks instead.
 PREDICT_ROWS = 256
 
 

@@ -13,15 +13,15 @@ inference holds no activations beyond the one in flight. Parameter gradients
 land in the layer's `grads` dict. No autodiff graph: a model is an ordered
 layer list, run forward in order and backward in reverse.
 
-An uncached forward reuses memory. `ReLU` writes its output over its input
-(in the model, every ReLU reads an array the layer before it has just made).
-`Conv1d` builds its im2col matrix in one process-wide scratch buffer shared
-by every `Conv1d`; its GEMM writes a fresh output, which the caller owns.
-The scratch holds only values that are dead once `forward` returns. It only
-grows, to the largest uncached im2col matrix seen: 2.5 MB of float64 for
-conv2 at 256 rows (317,952 values), under twice that at
-`model.predict_batch`'s chunks of fewer than 512 rows. It is not
-thread-safe: two threads must not run uncached conv forwards at once.
+An uncached forward keeps nothing, no layer reads in `forward` what it
+stores for `backward`, and `nn` keeps no state outside its objects, so
+threads may run uncached forwards of one model at once. Each
+`Conv1d.forward` builds a fresh im2col matrix, kept only by a cached
+forward, and returns its GEMM's fresh output. An uncached `ReLU` writes over
+its input (in the model, every ReLU reads an array the layer before it has
+just made). The flag and the in-place ReLU are kept for speed: on perfbench
+`classify`, inference through cached forwards ran ~30% slower, and an
+uncached ReLU that writes a new array ~3% slower.
 
 `Conv1d` is lowered to matrix products (im2col): its forward fills a
 (channels*kernel, batch*length) matrix tap by tap with strided slices of the
@@ -65,9 +65,6 @@ class Layer:
 class Conv1d(Layer):
     """Cross-correlation with bias: y[b,o,i] = b[o] + sum_{c,m} w[o,c,m] x[b,c,i*s+m-p]."""
 
-    # the shared scratch of uncached forwards (see the module docstring)
-    _scratch = np.empty(0, dtype=np.uint8)
-
     def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0,
                  rng: np.random.Generator | None = None):
         super().__init__()
@@ -99,15 +96,8 @@ class Conv1d(Layer):
         lo, k, o = self.out_length(n), self.kernel, len(self.params["w"])
         # im2col: rows (channel, tap), columns (batch, position); tap m of
         # position i reads x[i*stride + m - padding], and positions outside
-        # [0, n) read zero. A backward needs the matrix, so only an uncached
-        # forward builds it in the scratch
-        if cache:
-            cols = np.empty((c, k, b_, lo), dtype=x.dtype)
-        else:
-            need = c * k * b_ * lo * x.itemsize
-            if Conv1d._scratch.nbytes < need:
-                Conv1d._scratch = np.empty(need, dtype=np.uint8)
-            cols = Conv1d._scratch[:need].view(x.dtype).reshape(c, k, b_, lo)
+        # [0, n) read zero
+        cols = np.empty((c, k, b_, lo), dtype=x.dtype)
         xc = x.transpose(1, 0, 2)
         for m, i0, i1, src in self._taps(n, lo):
             cols[:, m, :, :i0] = 0.0
@@ -122,8 +112,7 @@ class Conv1d(Layer):
         w = self.params["w"].astype(x.dtype, copy=False)
         y = w.reshape(o, -1) @ cols
         y += self.params["b"].astype(x.dtype, copy=False)[:, None]
-        # the product is a fresh array, never the scratch, so the caller may
-        # keep it; the channel-major view costs no copy
+        # the channel-major view costs no copy
         return y.reshape(o, b_, lo).transpose(1, 0, 2)
 
     def _taps(self, n, lo):

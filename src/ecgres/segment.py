@@ -220,8 +220,11 @@ def load_segments(path: str | Path) -> Beats:
     labels = u8[starts + 4].astype(np.int64)
     if labels.max() >= len(BeatClass):
         raise ParseError(f"{path}: label {labels.max()} is not a beat class")
-    return Beats(window(u8, 4 * SEGMENT_SAMPLES)[starts + 5].view("<f4"), labels,
-                 np.array(ids, dtype=object),
+    samples = window(u8, 4 * SEGMENT_SAMPLES)[starts + 5].view("<f4")
+    if not -1 <= samples.min() <= samples.max() <= 1:  # False for NaN too
+        row = (np.abs(samples) <= 1).all(axis=1).argmin()
+        raise ParseError(f"{path}: segment {row} has a sample outside [-1, 1]")
+    return Beats(samples, labels, np.array(ids, dtype=object),
                  window(u8, 4)[starts].view("<u4")[:, 0].astype(np.int64))
 
 

@@ -431,6 +431,27 @@ class TestRunConfig:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, name", [("evaluate", "test.ecgb"), ("train", "train.ecgb")])
+@pytest.mark.parametrize("value", [np.nan, 7.0, -np.inf])
+def test_sample_outside_unit_range_exit_2_names_the_file(trained, tmp_path, capsys,
+                                                         command, name, value):
+    """`cut_beats` writes samples in [-1, 1] only; any other .ecgb sample is
+    a parse error that names the file and its first bad segment."""
+    for f in ("train.ecgb", "test.ecgb"):
+        shutil.copy(trained / f, tmp_path / f)
+    beats = sg.load_segments(tmp_path / name)
+    samples = beats.samples.copy()
+    samples[3, 90] = samples[5, 0] = value
+    sg.save_segments(sg.Beats(samples, beats.labels, beats.record_ids,
+                              beats.annotation_index), tmp_path / name)
+    argv = {"evaluate": ["--checkpoint", trained / "checkpoint.ecgm",
+                         "--dataset", tmp_path / name, "--output-dir", tmp_path / "out"],
+            "train": ["--output-dir", tmp_path, "--epochs", 1, "--limit", 200]}[command]
+    assert run([command, *argv]) == 2
+    assert f"{tmp_path / name}: segment 3 has a sample outside [-1, 1]" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["test.ecgb", "train.ecgb"]
+
+
 @pytest.mark.parametrize("command", ["ingest", "preprocess"])
 def test_reads_one_record_at_a_time(command, synth_db_small, tmp_path, monkeypatch):
     """No two loaded records are alive at once: each is dropped before the next loads."""

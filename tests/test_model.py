@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -309,12 +311,32 @@ class TestPredictBatch:
         for name in before_flatten:
             assert seen[name].transpose(1, 0, 2).flags.c_contiguous, name
 
-    def test_scratch_holds_only_the_largest_im2col(self, beats, small_model, monkeypatch):
-        monkeypatch.setattr(nn.Conv1d, "_scratch", np.empty(0, dtype=np.uint8))
-        md.predict_batch(small_model, beats[:300])
-        # conv2's float64 im2col matrix: 18 channels x 3 taps by 300 beats x
-        # 23 positions; no GEMM output shares the scratch
-        assert nn.Conv1d._scratch.nbytes == 18 * 3 * 300 * 23 * 8
+    def test_two_threads_match_a_serial_run(self, beats, small_model):
+        # uncached forwards keep no shared state, so two threads may run one
+        # model at once; each thread has its own rows, and any memory the two
+        # shared would show as wrong bytes
+        xs = [beats[:512], beats[512:1024]]
+        want = [md.predict_batch(small_model, x)[1].tobytes() for x in xs]
+        got = [[], []]
+        start = threading.Barrier(2, timeout=10)
+
+        def work(i):
+            start.wait()
+            for _ in range(4):
+                got[i].append(md.predict_batch(small_model, xs[i])[1].tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want[0]] * 4, [want[1]] * 4]
 
     def test_evaluate_accuracy_is_share_of_predictions(self, beats, small_model):
         x = beats[:300]
