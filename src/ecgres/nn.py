@@ -28,12 +28,12 @@ uncached ReLU that writes a new array ~3% slower.
 unpadded input, zeroing the positions that read padding, and multiplies the
 (out_channels, channels*kernel) weights by it; its backward is one product
 for the weight gradient and one for the window gradients, which one
-`np.bincount` adds into the unpadded input gradient (col2im). It adds each
-input position's taps in tap order, starting from 0.0, so its sums are
-those of a loop of per-tap adds. Its index (the input position of each
-im2col entry) depends only on the batch size and length; a conv keeps the
-last two it built, training's full and last batch. At batch 32 the model's
-five convs hold 100,224 indices, 0.8 MB of intp.
+`np.bincount` adds into the unpadded input gradient (col2im). Its index is
+the forward's window fill applied to the input positions, with an extra bin
+for the entries that read padding, so it adds each input position's taps in
+tap order, starting from 0.0, and its sums are those of a loop of per-tap
+adds. A conv keeps one index, rebuilt when the batch size or length changes;
+at batch 32 the model's five convs hold 100,224 indices, 0.8 MB of intp.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class Conv1d(Layer):
             -bound, bound, (out_channels, in_channels, kernel)
         ).astype(np.float32)
         self.params["b"] = np.zeros(out_channels, dtype=np.float32)
-        self._col2im: dict[tuple[int, int], np.ndarray] = {}
+        self._col2im = (None, None)  # ((batch, length), col2im index)
 
     def out_length(self, n):
         return (n + 2 * self.padding - self.kernel) // self.stride + 1
@@ -93,17 +93,8 @@ class Conv1d(Layer):
                 f"input length {x.shape[2]} + 2*{self.padding} pad < kernel {self.kernel}"
             )
         b_, c, n = x.shape
-        lo, k, o = self.out_length(n), self.kernel, len(self.params["w"])
-        # im2col: rows (channel, tap), columns (batch, position); tap m of
-        # position i reads x[i*stride + m - padding], and positions outside
-        # [0, n) read zero
-        cols = np.empty((c, k, b_, lo), dtype=x.dtype)
-        xc = x.transpose(1, 0, 2)
-        for m, i0, i1, src in self._taps(n, lo):
-            cols[:, m, :, :i0] = 0.0
-            cols[:, m, :, i0:i1] = xc[:, :, src]
-            cols[:, m, :, i1:] = 0.0
-        cols = cols.reshape(c * k, b_ * lo)
+        lo, o = self.out_length(n), len(self.params["w"])
+        cols = self._im2col(x.transpose(1, 0, 2), lo, 0.0).reshape(-1, b_ * lo)
         self._cols = cols if cache else None
         self._x_shape = x.shape
         # compute in the activation dtype (float64 in the model); the BLAS
@@ -126,15 +117,17 @@ class Conv1d(Layer):
             j0 = max(0, i0 * s + m - p)
             yield m, i0, i1, slice(j0, j0 + (i1 - i0) * s, s)
 
-    def _col2im_index(self, b_, n, lo):
-        """Flat (channels, batch, n) input position of each im2col entry (c, m,
-        b, i), in im2col order: c*b_*n + b*n + i*stride + m - padding, or the
-        extra bin c*b_*n when the entry reads padding."""
-        c = self.in_channels
-        m = np.arange(self.kernel) - self.padding
-        j = (np.arange(lo) * self.stride + m[:, None])[:, None, :]
-        rows = (np.arange(c)[:, None] * b_ + np.arange(b_)) * n
-        return np.where((j >= 0) & (j < n), rows[:, None, :, None] + j, c * b_ * n).ravel()
+    def _im2col(self, xc, lo, fill):
+        """The (channels, kernel, batch, lo) windows of the (channels, batch,
+        n) array xc: tap m of position i reads xc[..., i*stride + m - padding],
+        and `fill` where that lies outside [0, n)."""
+        c, b_, n = xc.shape
+        cols = np.empty((c, self.kernel, b_, lo), dtype=xc.dtype)
+        for m, i0, i1, src in self._taps(n, lo):
+            cols[:, m, :, :i0] = fill
+            cols[:, m, :, i0:i1] = xc[:, :, src]
+            cols[:, m, :, i1:] = fill
+        return cols
 
     def backward(self, gy):
         b_, o, lo = gy.shape
@@ -145,14 +138,13 @@ class Conv1d(Layer):
         # numpy orders a sum's additions by the memory layout; summed in C
         # order, the bias gradient keeps the bytes of the batch-major layout
         self.grads["b"] = np.ascontiguousarray(gy).sum(axis=(0, 2))
-        # col2im: bincount adds in im2col order, so each input position's
-        # taps in tap order; the entries that read padding land in the extra
-        # last bin, which is dropped
-        idx = self._col2im.get((b_, n))
-        if idx is None:
-            if len(self._col2im) == 2:
-                self._col2im.clear()
-            idx = self._col2im[b_, n] = self._col2im_index(b_, n, lo)
+        # col2im: the index is im2col of the input positions, so bincount adds
+        # each position's taps in tap order; the entries that read padding
+        # land in the extra last bin, which is dropped
+        if self._col2im[0] != (b_, n):
+            pos = np.arange(c * b_ * n).reshape(c, b_, n)
+            self._col2im = (b_, n), self._im2col(pos, lo, c * b_ * n).ravel()
+        idx = self._col2im[1]
         gcols = w.reshape(o, -1).T @ g2
         gx = np.bincount(idx, weights=gcols.ravel(), minlength=c * b_ * n + 1)
         return gx[:-1].reshape(c, b_, n).astype(gy.dtype, copy=False).transpose(1, 0, 2)

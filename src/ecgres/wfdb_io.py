@@ -2,7 +2,8 @@
 
 Only the subset of the WFDB conventions that the MIT-BIH arrhythmia database
 actually uses is supported: two-signal format-212 records sampled at 360 Hz
-with MIT-format annotation files.
+with MIT-format annotation files. A record at another rate raises
+`UnsupportedFormat`, which the CLI ends with exit code 2.
 """
 from __future__ import annotations
 
@@ -36,8 +37,8 @@ EXCLUDED_RECORDS = frozenset({"102", "104", "107", "217"})
 
 LEAD_NAME = "MLII"
 
-# MIT annotation type codes -> display symbols (subset of the standard table;
-# anything unlisted is reported as "?<code>").
+# MIT annotation type codes -> symbols (subset of the standard table);
+# `encode_annotations` maps the symbols back to codes.
 ANNOTATION_SYMBOLS = {
     1: "N", 2: "L", 3: "R", 4: "a", 5: "V", 6: "F", 7: "J", 8: "A",
     9: "S", 10: "E", 11: "j", 12: "/", 13: "Q", 14: "~", 16: "|",
@@ -312,6 +313,10 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     if header.num_signals != 2:
         raise ParseError(
             f"record {name}: expected 2 signals, header declares {header.num_signals}"
+        )
+    if header.sampling_frequency != 360:  # the 200-sample beat window assumes it
+        raise UnsupportedFormat(
+            f"record {name}: sampled at {header.sampling_frequency} Hz, only 360 Hz is supported"
         )
     # format 212 interleaves both signals in one file, named on each signal line
     files = {spec.file_name for spec in header.signals}

@@ -108,6 +108,28 @@ def test_non_ascii_header_exit_2(synth_db_small, tmp_path, capsys, command):
     assert "100.hea: byte 0xFF at offset 5 is not ASCII" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["250", "0", "-5"])
+@pytest.mark.parametrize("command", ["ingest", "preprocess", "predict"])
+def test_other_sampling_rate_exit_2(synth_db_small, tmp_path, capsys, request, command, rate):
+    # the 200-sample beat window assumes 360 Hz
+    for ext in ("hea", "dat", "atr"):
+        shutil.copy(synth_db_small / f"100.{ext}", tmp_path / f"100.{ext}")
+    hea = tmp_path / "100.hea"
+    lines = hea.read_text().splitlines()
+    toks = lines[0].split()
+    toks[2] = rate
+    lines[0] = " ".join(toks)
+    hea.write_text("\n".join(lines) + "\n")
+    argv = [command, "--data-dir", tmp_path]
+    if command == "predict":
+        argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
+                 "--record", "100", "--annotation-index", 0]
+    else:
+        argv += ["--output-dir", tmp_path / "o"]
+    assert run(argv) == 2
+    assert f"record 100: sampled at {rate} Hz, only 360 Hz is supported" in capsys.readouterr().err
+
+
 class TestPreprocess:
     def test_outputs_exist(self, preprocessed):
         assert (preprocessed / "train.ecgb").exists()

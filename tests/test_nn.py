@@ -133,6 +133,18 @@ def col2im_tap_loop(layer, gy):
     return gx.astype(gy.dtype, copy=False).transpose(1, 0, 2)
 
 
+def col2im_index_closed_form(layer, b_, n, lo):
+    """Conv1d's col2im index as a formula: the flat (channels, batch, n) input
+    position of each im2col entry (c, m, b, i), in im2col order, is
+    c*b_*n + b*n + i*stride + m - padding, or the extra bin c*b_*n when the
+    entry reads padding."""
+    c = layer.in_channels
+    m = np.arange(layer.kernel) - layer.padding
+    j = (np.arange(lo) * layer.stride + m[:, None])[:, None, :]
+    rows = (np.arange(c)[:, None] * b_ + np.arange(b_)) * n
+    return np.where((j >= 0) & (j < n), rows[:, None, :, None] + j, c * b_ * n).ravel()
+
+
 def make_conv(in_ch, out_ch, kernel, stride, padding, seed=0):
     layer = nn.Conv1d(in_ch, out_ch, kernel, stride, padding,
                       rng=np.random.default_rng(seed))
@@ -428,7 +440,8 @@ class TestPadFreeLowering:
 
 class TestCol2imBincount:
     """Conv1d's bincount col2im gives the tap loop's input gradient byte for
-    byte (col2im_tap_loop), for every batch size a layer sees in turn."""
+    byte (col2im_tap_loop), for every batch size a layer sees in turn, and
+    its index is the closed form's (col2im_index_closed_form)."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -448,18 +461,22 @@ class TestCol2imBincount:
         layer = nn.Conv1d(in_ch, out_ch, kernel, stride, padding, rng=rng)
         if length < kernel - padding:
             assert any(i0 == i1 for _, i0, i1, _ in layer._taps(length, 1))
-        # a second and third batch size, then the first again: the index is
-        # rebuilt for each shape, never reused for another
+        # a second and third batch size, then the first again: the one index
+        # a conv keeps is rebuilt on each change, never reused for another
         sizes = draw(st.permutations([1, 16, 32]))
+        lo = layer.out_length(length)
         for batch in [*sizes, sizes[0]]:
             x = rng.standard_normal((batch, in_ch, length))
-            gy = rng.standard_normal((batch, out_ch, layer.out_length(length)))
+            gy = rng.standard_normal((batch, out_ch, lo))
             layer.forward(x)
             gx = layer.backward(gy)
             assert gx.shape == x.shape
             assert gx.transpose(1, 0, 2).flags.c_contiguous
             assert gx.tobytes() == col2im_tap_loop(layer, gy).tobytes(), batch
-        assert len(layer._col2im) <= 2
+            shape, idx = layer._col2im
+            want = col2im_index_closed_form(layer, batch, length, lo)
+            assert shape == (batch, length)
+            assert idx.dtype == want.dtype and idx.tobytes() == want.tobytes(), batch
 
 
 class TestReluAfterPool:
