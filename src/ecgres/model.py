@@ -101,7 +101,8 @@ class Model:
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        n, f, k, s, pw, ps, rk, rs, r, hidden, classes = ARCHITECTURE.values()
+        # the two _ are pool_window and pool_stride: they name the pool's fixed pair
+        n, f, k, s, _, _, rk, rs, r, hidden, classes = ARCHITECTURE.values()
         rng = np.random.default_rng(config.seed)
         self._named: dict[str, nn.Layer] = {}
 
@@ -112,10 +113,10 @@ class Model:
 
         self.layers = [
             named("conv1", nn.Conv1d(1, f, k, s, k // 2, rng)),
-            named("pool1", nn.MaxPool1d(pw, ps, ceil_mode=True)),
+            named("pool1", nn.MaxPool1d()),
             named("relu1", nn.ReLU()),
             named("conv2", nn.Conv1d(f, f, k, s, k // 2, rng)),
-            named("pool2", nn.MaxPool1d(pw, ps, ceil_mode=True)),
+            named("pool2", nn.MaxPool1d()),
             named("relu2", nn.ReLU()),
             nn.Residual(
                 [named("res_conv1", nn.Conv1d(f, r, rk, rs, rk // 2, rng)),

@@ -162,59 +162,34 @@ class ReLU(Layer):
 
 
 class MaxPool1d(Layer):
-    """Max pooling; ties route the gradient to the first element of the window.
-
-    ceil_mode adds a final shrunken window when the length does not divide
-    evenly, matching the model's 23 -> 12 stage.
-    """
-
-    def __init__(self, window, stride, ceil_mode=False):
-        super().__init__()
-        self.window = window
-        self.stride = stride
-        self.ceil_mode = ceil_mode
+    """Max over the pairs (x[2i], x[2i+1]); an odd length's last output is its
+    last sample alone, as in the model's 23 -> 12 stage. Ties route the
+    gradient to the first of the pair."""
 
     def out_length(self, n):
-        if n < self.window:
-            return 0
-        full = (n - self.window) // self.stride + 1
-        return full + bool(self.ceil_mode and full * self.stride < n)
+        return (n + 1) // 2
 
     def forward(self, x, cache=True):
-        if x.ndim != 3:
-            raise ShapeError(f"maxpool1d expects rank-3 input, got {x.shape}")
-        n, lo = x.shape[2], self.out_length(x.shape[2])
-        if lo == 0:
-            raise ShapeError(f"pool window {self.window} exceeds length {n}")
-        # running max over the window taps; strict > keeps ties on the first
-        # tap, whose index is tracked only for a backward to come: every
-        # index so far is below k, so the max sets k exactly where v > yk.
-        # Tap k reaches only the first v.shape[2] outputs: the ceil-mode
-        # tail window is short. Order "K" and zeros_like keep the input's
-        # memory order
-        span = lo * self.stride
-        y = x[:, :, 0:span:self.stride].copy(order="K")
-        arg = None
+        if x.ndim != 3 or x.shape[2] < 2:
+            raise ShapeError(f"maxpool1d expects rank-3 input of length >= 2, got {x.shape}")
+        # order "K" and zeros_like keep the input's layout; the mask, kept for
+        # a backward to come, marks a strictly greater second of the pair
+        y = x[:, :, 0::2].copy(order="K")
+        odd = x[:, :, 1::2]
+        head = y[:, :, : odd.shape[2]]
+        self._mask = np.zeros_like(y, dtype=bool) if cache else None
         if cache:
-            arg = np.zeros_like(y, dtype=np.min_scalar_type(self.window - 1))
-        for k in range(1, self.window):
-            v = x[:, :, k : k + span : self.stride]
-            yk = y[:, :, : v.shape[2]]
-            if cache:
-                argk = arg[:, :, : v.shape[2]]
-                np.maximum(argk, (v > yk) * arg.dtype.type(k), out=argk)
-            np.maximum(yk, v, out=yk)
-        self._arg = arg
-        self._shape = (*x.shape[:2], max(span - self.stride + self.window, n))
-        self._n = n
+            np.greater(odd, head, out=self._mask[:, :, : odd.shape[2]])
+        np.maximum(head, odd, out=head)
+        self._n = x.shape[2]
         return y
 
     def backward(self, gy):
-        b_, c, n = self._shape
-        gx = np.zeros((c, b_, n), dtype=gy.dtype).transpose(1, 0, 2)
-        span = gy.shape[2] * self.stride
-        for k in range(self.window):
-            gx[:, :, k : k + span : self.stride] += gy * (self._arg == k)
+        b_, c, lo = gy.shape
+        # adds into zeros: a -0.0 gradient lands as +0.0, as assigning would not
+        gx = np.zeros((c, b_, 2 * lo), dtype=gy.dtype).transpose(1, 0, 2)
+        gx[:, :, 0::2] += gy * ~self._mask
+        gx[:, :, 1::2] += gy * self._mask
         return gx[:, :, : self._n]
 
 

@@ -79,7 +79,7 @@ class SignalSpec:
 class RecordHeader:
     record_name: str
     num_signals: int
-    sampling_frequency: int
+    sampling_frequency: float
     num_samples: int
     signals: tuple[SignalSpec, ...]
 
@@ -132,9 +132,11 @@ def parse_header(text: str) -> RecordHeader:
         num_signals = int(fields[1])
         # fs may carry counter-frequency suffixes: "360/..." or "360(0)"
         fs_tok = fields[2].split("/")[0].split("(")[0]
-        sampling_frequency = int(float(fs_tok))
+        sampling_frequency = float(fs_tok)
+        if not np.isfinite(sampling_frequency):
+            raise ValueError(f"sampling frequency {sampling_frequency} is not finite")
         num_samples = int(fields[3])
-    except (ValueError, OverflowError) as e:  # int(inf) overflows
+    except ValueError as e:
         raise ParseError(f"line 1: {e}") from e
     if num_signals <= 0:
         raise ParseError(f"line 1: non-positive signal count {num_signals}")
@@ -310,13 +312,16 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
         raise ParseError(f"{hea}: byte 0x{data[e.start]:02X} at offset {e.start} "
                          "is not ASCII") from e
     header = parse_header(text)
+    if header.record_name != name:
+        raise ParseError(f"{hea}: header declares record {header.record_name}")
     if header.num_signals != 2:
         raise ParseError(
             f"record {name}: expected 2 signals, header declares {header.num_signals}"
         )
     if header.sampling_frequency != 360:  # the 200-sample beat window assumes it
         raise UnsupportedFormat(
-            f"record {name}: sampled at {header.sampling_frequency} Hz, only 360 Hz is supported"
+            f"record {name}: sampled at {str(header.sampling_frequency).removesuffix('.0')} Hz, "
+            "only 360 Hz is supported"
         )
     # format 212 interleaves both signals in one file, named on each signal line
     files = {spec.file_name for spec in header.signals}

@@ -108,7 +108,20 @@ def test_non_ascii_header_exit_2(synth_db_small, tmp_path, capsys, command):
     assert "100.hea: byte 0xFF at offset 5 is not ASCII" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rate", ["250", "0", "-5"])
+@pytest.mark.parametrize("command", ["ingest", "preprocess"])
+def test_header_naming_another_record_exit_2(synth_db_small, tmp_path, capsys, command):
+    # 102.hea copied from 105 names record 105 and 105.dat: read as 105, its
+    # beats were counted twice and could land in both sets
+    for name, ext in itertools.product(("100", "105"), ("hea", "dat", "atr")):
+        shutil.copy(synth_db_small / f"{name}.{ext}", tmp_path / f"{name}.{ext}")
+    for ext in ("hea", "atr"):
+        shutil.copy(synth_db_small / f"105.{ext}", tmp_path / f"102.{ext}")
+    assert run([command, "--data-dir", tmp_path, "--output-dir", tmp_path / "o"]) == 2
+    assert "102.hea: header declares record 105" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rate", ["250", "0", "-5", "360.9", "359.99", "360.00001"])
 @pytest.mark.parametrize("command", ["ingest", "preprocess", "predict"])
 def test_other_sampling_rate_exit_2(synth_db_small, tmp_path, capsys, request, command, rate):
     # the 200-sample beat window assumes 360 Hz

@@ -281,7 +281,7 @@ class TestPredictBatch:
         small_model.backward(np.ones((4, 5)))
         md.predict_batch(small_model, beats[:300])
         for name, layer in small_model._named.items():
-            for attr in ("_cols", "_mask", "_arg", "_x"):
+            for attr in ("_cols", "_mask", "_x"):
                 assert getattr(layer, attr, None) is None, (name, attr)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

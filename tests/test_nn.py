@@ -46,24 +46,24 @@ def conv1d_backward_oracle(x, w, gy, stride, padding):
     return gw, gy.sum(axis=(0, 2)), gx
 
 
-def maxpool_argmax_reference(x, window, stride, out_len):
-    """Values and first-maximum taps by -inf right-pad + argmax over each window."""
-    pad = (out_len - 1) * stride + window - x.shape[2]
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
-    win = sliding_window_view(x, window, axis=2)[:, :, ::stride][:, :, :out_len]
-    arg = win.argmax(axis=3)
-    return np.take_along_axis(win, arg[..., None], axis=3)[..., 0], arg
+def maxpool_argmax_reference(x):
+    """Values and first-maximum taps of the pairs by a -inf right pad to an
+    even length + argmax over each pair."""
+    if x.shape[2] % 2:
+        x = np.pad(x, ((0, 0), (0, 0), (0, 1)), constant_values=-np.inf)
+    pairs = x.reshape(*x.shape[:2], -1, 2)
+    arg = pairs.argmax(axis=3)
+    return np.take_along_axis(pairs, arg[..., None], axis=3)[..., 0], arg
 
 
-def maxpool_oracle(x, window, stride):
+def maxpool_oracle(x):
+    """Max of each pair (x[2i], x[2i+1]) by loops; a trailing odd sample alone."""
     batch, ch, length = x.shape
-    out_len = (length - window) // stride + 1
-    y = np.empty((batch, ch, out_len))
+    y = np.empty((batch, ch, (length + 1) // 2))
     for bi in range(batch):
         for c in range(ch):
-            for i in range(out_len):
-                y[bi, c, i] = max(x[bi, c, i * stride : i * stride + window])
+            for i in range(y.shape[2]):
+                y[bi, c, i] = max(x[bi, c, 2 * i : 2 * i + 2])
     return y
 
 
@@ -96,25 +96,27 @@ def conv1d_padded(layer, x, gy):
     return y, gw, gb, gx.astype(gy.dtype, copy=False), cols
 
 
-def maxpool_padded(layer, x, gy):
-    """MaxPool1d forward as it was before the pad-free pool (a -inf right pad
-    makes the ceil-mode tail a full window), and its backward over the padded
-    length. Returns (y, arg, grad x)."""
-    n, lo = x.shape[2], layer.out_length(x.shape[2])
-    pad = (lo - 1) * layer.stride + layer.window - n
+def maxpool_padded(x, gy):
+    """MaxPool1d(2, 2, ceil_mode=True) forward as it was before the pad-free
+    pool (a -inf right pad makes the ceil-mode tail a full window), and its
+    backward over the padded length. Returns (y, arg, grad x)."""
+    window = stride = 2
+    n, full = x.shape[2], (x.shape[2] - window) // stride + 1
+    lo = full + (full * stride < n)
+    pad = (lo - 1) * stride + window - n
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (0, pad)), constant_values=-np.inf)
-    span = lo * layer.stride
-    y = x[:, :, 0:span:layer.stride].copy()
-    arg = np.zeros(y.shape, dtype=np.min_scalar_type(layer.window - 1))
-    for k in range(1, layer.window):
-        v = x[:, :, k : k + span : layer.stride]
+    span = lo * stride
+    y = x[:, :, 0:span:stride].copy()
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(window - 1))
+    for k in range(1, window):
+        v = x[:, :, k : k + span : stride]
         np.putmask(arg, v > y, k)
         np.maximum(y, v, out=y)
 
     gx = np.zeros(x.shape, dtype=gy.dtype)
-    for k in range(layer.window):
-        gx[:, :, k : k + span : layer.stride] += gy * (arg == k)
+    for k in range(window):
+        gx[:, :, k : k + span : stride] += gy * (arg == k)
     return y, arg, gx[:, :, :n]
 
 
@@ -269,88 +271,87 @@ class TestReLU:
         assert rel_error(g, fd_gradient(lambda v: float(np.sum(np.maximum(v, 0))), x)) < 1e-4
 
 
+def pool_input(x, channel_major):
+    """x, or the same values as a channel-major view, the layout the model's
+    pools read."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2) if channel_major else x
+
+
 class TestMaxPool:
     def test_simple(self):
-        layer = nn.MaxPool1d(2, 2)
+        layer = nn.MaxPool1d()
         y = layer.forward(np.array([[[1.0, 3.0, 2.0, 5.0]]]))
         assert np.array_equal(y, [[[3.0, 5.0]]])
 
     def test_tie_routes_to_first(self):
-        layer = nn.MaxPool1d(2, 2)
+        layer = nn.MaxPool1d()
         layer.forward(np.ones((1, 1, 4)))
         gx = layer.backward(np.array([[[1.0, 1.0]]]))
         assert np.array_equal(gx, [[[1.0, 0.0, 1.0, 0.0]]])
 
     def test_window_too_large(self):
+        # the pair does not fit a length-1 input
         with pytest.raises(ShapeError):
-            nn.MaxPool1d(5, 1).forward(np.zeros((1, 1, 3)))
+            nn.MaxPool1d().forward(np.zeros((1, 1, 1)))
+        with pytest.raises(ShapeError):
+            nn.MaxPool1d().forward(np.zeros((1, 4)))
 
     def test_against_oracle_exhaustive_small(self):
         rng = np.random.default_rng(3)
         for length in range(2, 17):
-            for window in range(1, min(length, 5) + 1):
-                for stride in (1, 2, 3):
-                    x = rng.standard_normal((2, 2, length))
-                    layer = nn.MaxPool1d(window, stride)
-                    assert np.allclose(
-                        layer.forward(x), maxpool_oracle(x, window, stride)
-                    )
+            x = rng.standard_normal((2, 2, length))
+            assert np.array_equal(nn.MaxPool1d().forward(x), maxpool_oracle(x))
 
     def test_ceil_mode_partial_window(self):
-        layer = nn.MaxPool1d(2, 2, ceil_mode=True)
+        # an odd length's last sample is a window of its own
+        layer = nn.MaxPool1d()
         y = layer.forward(np.array([[[1.0, 4.0, 3.0]]]))
         assert np.array_equal(y, [[[4.0, 3.0]]])
         gx = layer.backward(np.array([[[1.0, 2.0]]]))
         assert np.array_equal(gx, [[[0.0, 1.0, 2.0]]])
 
-    @pytest.mark.parametrize("ceil_mode", [False, True])
-    def test_out_length_and_backward_match_windows(self, ceil_mode):
-        # the windows start at 0, s, 2s, ...; ceil mode keeps a final shrunken
-        # window over the samples a full window would not reach
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_out_length_and_backward_match_windows(self, channel_major):
+        # the pairs start at 0, 2, 4, ...; an odd length keeps a final
+        # one-sample window
         rng = np.random.default_rng(5)
-        for window in range(1, 5):
-            for stride in range(1, 4):
-                for n in range(window, 17):
-                    layer = nn.MaxPool1d(window, stride, ceil_mode=ceil_mode)
-                    x = rng.integers(0, 3, (2, 2, n)).astype(np.float64)  # ties
-                    y = layer.forward(x)
-                    assert y.shape[2] == layer.out_length(n)
-                    gy = rng.standard_normal(y.shape)
-                    want = np.zeros_like(x)
-                    for i in range(y.shape[2]):
-                        seg = x[:, :, i * stride : i * stride + window]
-                        assert np.array_equal(y[:, :, i], seg.max(axis=2))
-                        first = i * stride + seg.argmax(axis=2)
-                        for b, c in np.ndindex(2, 2):
-                            want[b, c, first[b, c]] += gy[b, c, i]
-                    assert np.allclose(layer.backward(gy), want, rtol=0, atol=1e-12)
+        for batch, ch in ((1, 1), (2, 2), (3, 4)):
+            for n in range(2, 17):
+                layer = nn.MaxPool1d()
+                x = rng.integers(0, 3, (batch, ch, n)).astype(np.float64)  # ties
+                x = pool_input(x, channel_major)
+                y = layer.forward(x)
+                assert y.shape[2] == layer.out_length(n)
+                gy = rng.standard_normal(y.shape)
+                want = np.zeros_like(x)
+                for i in range(y.shape[2]):
+                    seg = x[:, :, 2 * i : 2 * i + 2]
+                    assert np.array_equal(y[:, :, i], seg.max(axis=2))
+                    first = 2 * i + seg.argmax(axis=2)
+                    for b, c in np.ndindex(batch, ch):
+                        want[b, c, first[b, c]] += gy[b, c, i]
+                assert np.allclose(layer.backward(gy), want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("ceil_mode", [False, True])
-    def test_forward_and_arg_match_argmax_rule(self, ceil_mode):
-        # ties everywhere (values 0..2, some -inf) and -inf padded ceil-mode tails
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_forward_and_arg_match_argmax_rule(self, channel_major):
+        # ties everywhere (values 0..2, some -inf) and -inf padded odd tails
         rng = np.random.default_rng(12)
-        for window in range(1, 6):
-            for stride in range(1, 4):
-                for n in range(window, 15):
-                    layer = nn.MaxPool1d(window, stride, ceil_mode=ceil_mode)
-                    x = rng.integers(0, 3, (3, 2, n)).astype(np.float64)
-                    x[rng.random(x.shape) < 0.2] = -np.inf
-                    y = layer.forward(x)
-                    want_y, want_arg = maxpool_argmax_reference(x, window, stride, y.shape[2])
-                    assert np.array_equal(y, want_y)
-                    assert np.array_equal(layer._arg, want_arg)
-
-    def test_out_length_below_window_is_zero(self):
-        assert nn.MaxPool1d(3, 2, ceil_mode=True).out_length(2) == 0
+        for batch, ch in ((1, 1), (3, 2), (2, 5)):
+            for n in range(2, 15):
+                layer = nn.MaxPool1d()
+                x = rng.integers(0, 3, (batch, ch, n)).astype(np.float64)
+                x[rng.random(x.shape) < 0.2] = -np.inf
+                y = layer.forward(pool_input(x, channel_major))
+                want_y, want_arg = maxpool_argmax_reference(x)
+                assert np.array_equal(y, want_y)
+                assert np.array_equal(layer._mask, want_arg == 1)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal((2, 2, 11))
-        gy_weight = None
-        for ceil_mode in (False, True):
-            layer = nn.MaxPool1d(3, 2, ceil_mode=ceil_mode)
-            y = layer.forward(x)
-            gy_weight = rng.standard_normal(y.shape)
+        for length in (11, 12):
+            x = rng.standard_normal((2, 2, length))
+            layer = nn.MaxPool1d()
+            gy_weight = rng.standard_normal(layer.forward(x).shape)
             gx = layer.backward(gy_weight)
 
             def loss(v, layer=layer, gw=gy_weight):
@@ -399,21 +400,18 @@ class TestPadFreeLowering:
     @settings(max_examples=250, deadline=None)
     def test_pool_bit_equal_to_padded(self, data):
         draw = data.draw
-        batch, ch, length = (draw(st.integers(1, hi)) for hi in (4, 4, 40))
-        window, stride = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-        assume(length >= window)
-        layer = nn.MaxPool1d(window, stride, ceil_mode=draw(st.booleans()))
+        batch, ch, length = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 4), (2, 40)))
+        layer = nn.MaxPool1d()
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         x = rng.integers(0, 3, (batch, ch, length)).astype(np.float64)  # ties
         x[rng.random(x.shape) < 0.1] = -np.inf
         gy = rng.standard_normal((batch, ch, layer.out_length(length)))
-        y_want, arg_want, gx_want = maxpool_padded(layer, x, gy)
+        y_want, arg_want, gx_want = maxpool_padded(x, gy)
 
         assert layer.forward(x, cache=False).tobytes() == y_want.tobytes()
-        assert layer._arg is None
+        assert layer._mask is None
         assert layer.forward(x).tobytes() == y_want.tobytes()
-        assert layer._arg.dtype == arg_want.dtype
-        assert layer._arg.tobytes() == arg_want.tobytes()
+        assert np.array_equal(layer._mask, arg_want == 1)
         gx = layer.backward(gy)
         assert gx.shape == x.shape
         assert gx.tobytes() == gx_want.tobytes()
@@ -492,21 +490,18 @@ class TestReluAfterPool:
         batch, in_ch, out_ch = (draw(st.integers(1, 4)) for _ in range(3))
         kernel, stride = draw(st.integers(1, 5)), draw(st.integers(1, 3))
         padding = draw(st.integers(0, kernel // 2))
-        window, pool_stride = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-        ceil_mode = draw(st.booleans())
         length = draw(st.integers(max(1, kernel - 2 * padding), 30))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         conv = nn.Conv1d(in_ch, out_ch, kernel, stride, padding)
         conv.params["w"] = rng.integers(-1, 2, conv.params["w"].shape).astype(np.float32)
         conv.params["b"] = rng.integers(-1, 2, out_ch).astype(np.float32)
         x = rng.integers(-2, 3, (batch, in_ch, length)).astype(np.float64)
-        pool_len = nn.MaxPool1d(window, pool_stride, ceil_mode).out_length(
-            conv.out_length(length))
-        assume(pool_len > 0)
-        gy = rng.standard_normal((batch, out_ch, pool_len))
+        conv_len = conv.out_length(length)
+        assume(conv_len >= 2)
+        gy = rng.standard_normal((batch, out_ch, nn.MaxPool1d().out_length(conv_len)))
 
         def run(relu_first):
-            pool, relu = nn.MaxPool1d(window, pool_stride, ceil_mode), nn.ReLU()
+            pool, relu = nn.MaxPool1d(), nn.ReLU()
             layers = [conv, relu, pool] if relu_first else [conv, pool, relu]
             y = x
             for layer in layers:
@@ -648,7 +643,7 @@ class TestFlattenResidual:
 class TestNoCacheForward:
     """`forward(x, cache=False)` is the same forward, minus the backward state."""
 
-    CACHES = ("_cols", "_mask", "_arg", "_x")
+    CACHES = ("_cols", "_mask", "_x")
 
     @staticmethod
     def layers():
@@ -656,8 +651,8 @@ class TestNoCacheForward:
             "conv": (make_conv(3, 4, 3, 2, 1), (5, 3, 23)),
             "conv_k7": (make_conv(3, 4, 7, 1, 3, seed=4), (5, 3, 12)),
             "relu": (nn.ReLU(), (5, 3, 23)),
-            "pool": (nn.MaxPool1d(2, 2, ceil_mode=True), (5, 3, 23)),
-            "pool_3_1": (nn.MaxPool1d(3, 1, ceil_mode=True), (5, 3, 23)),
+            "pool": (nn.MaxPool1d(), (5, 3, 23)),
+            "pool_even": (nn.MaxPool1d(), (5, 3, 90)),
             "flatten": (nn.Flatten(), (5, 3, 4)),
             "residual": (nn.Residual([make_conv(3, 4, 3, 2, 1, seed=1), nn.ReLU(),
                                       make_conv(4, 4, 3, 1, 1, seed=2)],
@@ -665,7 +660,7 @@ class TestNoCacheForward:
             "dense": (nn.Dense(12, 5, rng=np.random.default_rng(0)), (5, 12)),
         }
 
-    @pytest.mark.parametrize("name", ["conv", "conv_k7", "relu", "pool", "pool_3_1",
+    @pytest.mark.parametrize("name", ["conv", "conv_k7", "relu", "pool", "pool_even",
                                       "flatten", "residual", "dense"])
     def test_output_identical_and_nothing_kept(self, name):
         layer, shape = self.layers()[name]
@@ -679,6 +674,14 @@ class TestNoCacheForward:
         for part in parts:
             for attr in self.CACHES:
                 assert getattr(part, attr, None) is None, (name, attr)
+
+    @pytest.mark.parametrize("name", ["conv", "relu", "pool", "dense"])
+    def test_backward_after_uncached_forward_raises(self, name):
+        # an uncached forward keeps no backward state, so no backward can run
+        layer, shape = self.layers()[name]
+        y = layer.forward(np.ones(shape), cache=False)
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            layer.backward(np.ones(y.shape))
 
     @pytest.mark.parametrize("name", ["conv", "pool", "residual", "dense"])
     def test_cached_forward_after_uncached_still_backpropagates(self, name):
