@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from . import denoise as dn
 from . import metrics as me
 from . import model as md
 from . import segment as sg
@@ -33,9 +32,6 @@ class RunConfig:
     data_dir: str = "."
     output_dir: str = "out"
     seed: int = 0
-    levels: int = dn.DEFAULT_LEVELS
-    window: int = dn.DEFAULT_BASELINE_WINDOW
-    threshold_mode: str = dn.ThresholdPolicy.mode
     per_set_size: int | None = None
     epochs: int = md.TrainConfig.epochs
     batch_size: int = md.TrainConfig.batch_size
@@ -125,11 +121,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def _segment_records(cfg: RunConfig) -> tuple[sg.Beats, int]:
     """The beats of every record, cut one record at a time in name order, and
     the boundary skips. The per-record tables are dropped on return."""
-    policy = dn.ThresholdPolicy(mode=cfg.threshold_mode)
     tables, skips = [], 0
     for name in _record_names(cfg):
-        beats, n = sg.segment_record_beats(_select(cfg, name), levels=cfg.levels,
-                                           window=cfg.window, policy=policy)
+        beats, n = sg.segment_record_beats(_select(cfg, name))
         tables.append(beats)
         skips += n
     return sg.Beats.concat(tables), skips
@@ -225,10 +219,7 @@ def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: 
             f"(record {record} has {len(selection)} eligible beats)"
         )
     row = selection[annotation_index:annotation_index + 1]
-    beats, _ = sg.segment_record_beats(
-        row, levels=cfg.levels, window=cfg.window,
-        policy=dn.ThresholdPolicy(mode=cfg.threshold_mode),
-    )
+    beats, _ = sg.segment_record_beats(row)
     if not beats:
         raise BoundarySkip(
             f"beat {annotation_index} of record {record} (sample "
@@ -254,17 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", dest="output_dir")
         p.add_argument("--seed", type=int)
 
-    def add_denoise(p):
-        p.add_argument("--levels", type=int, help="wavelet decomposition levels")
-        p.add_argument("--window", type=int, help="baseline moving-average window (odd)")
-        p.add_argument("--threshold-mode", dest="threshold_mode", choices=["soft", "hard"])
-
     p = sub.add_parser("ingest", help="parse records and build the beat index")
     add_common(p)
 
     p = sub.add_parser("preprocess", help="denoise, segment, and split the dataset")
     add_common(p)
-    add_denoise(p)
     p.add_argument("--per-set-size", dest="per_set_size", type=int)
 
     p = sub.add_parser("train", help="train the CNN on a preprocessed dataset")
@@ -283,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify one annotated beat from a record")
     add_common(p)
-    add_denoise(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--record", required=True)
     p.add_argument("--annotation-index", dest="annotation_index", type=int, required=True)

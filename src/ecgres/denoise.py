@@ -1,5 +1,8 @@
 """ECG denoising: 8-level db4 wavelet thresholding + moving-average baseline removal.
 
+The denoising is the paper's and fixed, so `denoise` takes no settings; only
+the transforms `dwt_forward` and `remove_baseline` take a size.
+
 The wavelet transform is the orthogonal Daubechies-4 (8-tap) filter bank with
 periodized boundaries, run in polyphase form. Analysis coefficient i of a
 stage x of length N is sum over taps m of h[m] * x[(m + 2i) % N]: tap m reads
@@ -54,15 +57,6 @@ class WaveletDecomposition:
     # length of the signal fed into each analysis stage (needed to undo
     # odd-length extension on inversion); stage_lengths[0] is the input length
     stage_lengths: list[int]
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    mode: str = "soft"  # "soft" | "hard"
-
-    def __post_init__(self):
-        if self.mode not in ("soft", "hard"):
-            raise ParameterError(f"unknown threshold mode {self.mode!r}")
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,21 +147,18 @@ def universal_threshold(decomp: WaveletDecomposition) -> float:
     return float(sigma * math.sqrt(2.0 * math.log(decomp.stage_lengths[0])))
 
 
-def apply_threshold(coeffs: np.ndarray, threshold: float, mode: str) -> np.ndarray:
-    if mode == "soft":
-        out = np.abs(coeffs)
-        out -= threshold
-        np.maximum(out, 0.0, out=out)
-        return np.multiply(np.sign(coeffs), out, out=out)
-    return np.where(np.abs(coeffs) > threshold, coeffs, 0.0)
+def apply_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
+    """Soft threshold: sign(c) * max(|c| - threshold, 0)."""
+    out = np.abs(coeffs)
+    out -= threshold
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(np.sign(coeffs), out, out=out)
 
 
-def threshold_details(
-    decomp: WaveletDecomposition, policy: ThresholdPolicy = ThresholdPolicy()
-) -> WaveletDecomposition:
-    """Shrink all detail levels by the universal threshold; approx untouched."""
+def threshold_details(decomp: WaveletDecomposition) -> WaveletDecomposition:
+    """Soft-shrink all detail levels by the universal threshold; approx untouched."""
     t = universal_threshold(decomp)
-    details = [apply_threshold(d, t, policy.mode) for d in decomp.details]
+    details = [apply_threshold(d, t) for d in decomp.details]
     return replace(decomp, details=details)
 
 
@@ -192,14 +183,6 @@ def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray
     return np.subtract(x, baseline, out=baseline)
 
 
-def denoise(
-    signal,
-    levels: int = DEFAULT_LEVELS,
-    window: int = DEFAULT_BASELINE_WINDOW,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-) -> np.ndarray:
+def denoise(signal) -> np.ndarray:
     """Full per-record cleanup: wavelet shrinkage, then baseline removal."""
-    decomp = dwt_forward(signal, levels)
-    decomp = threshold_details(decomp, policy)
-    cleaned = dwt_inverse(decomp)
-    return remove_baseline(cleaned, window)
+    return remove_baseline(dwt_inverse(threshold_details(dwt_forward(signal))))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import atomic
 from . import denoise as dn
-from .errors import ParseError, SizeError
+from .errors import LengthError, ParseError, SizeError
 from .wfdb_io import BeatClass, Selection
 
 WINDOW_SAMPLES = 200
@@ -97,21 +97,17 @@ def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
     return seg.astype(np.float32), kept
 
 
-def segment_record_beats(
-    selection: Selection,
-    levels: int = dn.DEFAULT_LEVELS,
-    window: int = dn.DEFAULT_BASELINE_WINDOW,
-    policy: dn.ThresholdPolicy = dn.ThresholdPolicy(),
-) -> tuple[Beats, int]:
+def segment_record_beats(selection: Selection) -> tuple[Beats, int]:
     """Denoise the lead of each record with selected rows once, in name
-    order, then cut that record's beats.
-
-    Returns (beats, boundary_skips).
-    """
+    order, then cut that record's beats; a record too short to denoise is a
+    LengthError naming it. Returns (beats, boundary_skips)."""
     tables, skips = [], 0
     for name in sorted(set(selection.record_ids)):
         rows = selection[selection.record_ids == name]
-        channel = dn.denoise(selection.leads[name], levels=levels, window=window, policy=policy)
+        try:
+            channel = dn.denoise(selection.leads[name])
+        except LengthError as e:
+            raise LengthError(f"record {name}: {e}") from e
         samples, kept = cut_beats(channel, rows.centers)
         skips += len(rows) - len(samples)
         tables.append(Beats(samples, rows.labels[kept], np.full(len(samples), name, dtype=object),

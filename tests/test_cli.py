@@ -19,7 +19,7 @@ from ecgres import segment as sg
 from ecgres import wfdb_io as wf
 
 from test_model import refuse_model
-from test_segment import keys, write_edge_record
+from test_segment import keys, write_edge_record, write_record
 
 
 def run(argv):
@@ -143,6 +143,20 @@ def test_other_sampling_rate_exit_2(synth_db_small, tmp_path, capsys, request, c
     assert f"record 100: sampled at {rate} Hz, only 360 Hz is supported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["preprocess", "predict"])
+def test_record_too_short_to_denoise_exit_3_names_it(tmp_path, capsys, request, command):
+    # both beats fit the 200-sample window, but 8-level db4 needs 2**8 samples
+    write_record(tmp_path / "db", [100, 120], 240)
+    argv = [command, "--data-dir", tmp_path / "db", "--output-dir", tmp_path / "out"]
+    if command == "predict":
+        argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
+                 "--record", "100", "--annotation-index", 0]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == ("error: record 100: signal of length 240 too short "
+                                       "for 8 levels (at most 7 levels fit)\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestPreprocess:
     def test_outputs_exist(self, preprocessed):
         assert (preprocessed / "train.ecgb").exists()
@@ -180,39 +194,6 @@ class TestPreprocess:
         }))
         assert run(["preprocess", "--config", cfg]) == 0
         assert (tmp_path / "out" / "train.ecgb").exists()
-
-    @pytest.mark.parametrize("argv, config", [
-        (["--levels", 0], None),
-        (["--window", 2], None),
-        ([], {"threshold_mode": "fuzzy"}),
-    ])
-    def test_bad_denoise_setting_exit_2(self, synth_db_small, tmp_path, argv, config):
-        if config is not None:
-            path = tmp_path / "run.json"
-            path.write_text(json.dumps(config))
-            argv = [*argv, "--config", path]
-        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
-                  *argv])
-        assert rc == 2
-        assert not list(tmp_path.rglob("*.ecgb"))
-
-    def test_too_many_levels_exit_3_names_usable_count(self, synth_db_small, tmp_path, capsys):
-        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
-                  "--levels", 40])
-        assert rc == 3
-        # each record is 120 s at 360 Hz = 43,200 samples, and 2**15 <= 43,200 < 2**16
-        assert "at most 15 levels fit" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.ecgb"))
-
-    def test_window_longer_than_record_exit_3_names_lengths(self, synth_db_small, tmp_path,
-                                                           capsys):
-        rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
-                  "--window", 43201])
-        assert rc == 3
-        # each record is 120 s at 360 Hz = 43,200 samples
-        err = capsys.readouterr().err
-        assert "baseline window 43201 exceeds the record's 43200 samples" in err
-        assert not list(tmp_path.rglob("*.ecgb"))
 
 
 class TestTrain:
@@ -366,22 +347,23 @@ class TestPredict:
                   "--annotation-index", 10**6])
         assert rc == 2
 
-    def test_denoise_flags_match_config(self, trained, synth_db_small, tmp_path, capsys):
-        argv = ["predict", "--checkpoint", trained / "checkpoint.ecgm",
-                "--data-dir", synth_db_small, "--record", "100", "--annotation-index", 3]
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"levels": 6, "window": 151, "threshold_mode": "hard"}))
-        assert run(argv + ["--config", cfg]) == 0
-        want = capsys.readouterr().out
-        assert run(argv + ["--levels", 6, "--window", 151, "--threshold-mode", "hard"]) == 0
-        assert capsys.readouterr().out == want
-        assert run(argv + ["--levels", 6]) == 0
-
-    def test_zero_levels_exit_2(self, trained, synth_db_small):
-        rc = run(["predict", "--checkpoint", trained / "checkpoint.ecgm",
-                  "--data-dir", synth_db_small, "--record", "100",
-                  "--annotation-index", 0, "--levels", 0])
-        assert rc == 2
+    def test_probabilities_of_the_beat_preprocess_wrote(self, trained, synth_db_small, capsys):
+        """`predict` denoises and cuts its beat as `preprocess` did: it prints
+        what `predict_batch` gives on that beat's `.ecgb` row."""
+        model = md.load_checkpoint(trained / "checkpoint.ecgm")
+        written = sg.Beats.concat([sg.load_segments(trained / f)
+                                   for f in ("train.ecgb", "test.ecgb")])
+        centers = wf.select_dataset([wf.load_record(synth_db_small, "100")]).centers
+        for index in (1, 17, 42):
+            assert run(["predict", "--checkpoint", trained / "checkpoint.ecgm",
+                        "--data-dir", synth_db_small, "--record", "100",
+                        "--annotation-index", index]) == 0
+            (row,) = np.flatnonzero((written.record_ids == "100")
+                                    & (written.annotation_index == centers[index]))
+            pred, probs = md.predict_batch(model, sg.segments_to_arrays(written[row])[0])
+            want = f"predicted: {wf.BeatClass(pred[0]).name}\n" + "".join(
+                f"  {c.name:5s} {probs[0, c]:.4f}\n" for c in wf.BeatClass)
+            assert capsys.readouterr().out.endswith(want)
 
 
 class TestRunConfig:
@@ -446,6 +428,29 @@ class TestRunConfig:
         with pytest.raises(SystemExit) as exit_:
             self.train(work, ["--epochs", 1, "--optimizer", "sgd"])
         assert exit_.value.code == 2
+
+    @pytest.mark.parametrize("command", ["preprocess", "predict"])
+    @pytest.mark.parametrize("key, flag", [("levels", ["--levels", 8]),
+                                           ("window", ["--window", 251]),
+                                           ("threshold_mode", ["--threshold-mode", "soft"])],
+                             ids=["levels", "window", "threshold_mode"])
+    def test_denoising_is_not_a_setting_exit_2(self, synth_db_small, tmp_path, capsys, request,
+                                               command, key, flag):
+        """The db4 denoising is fixed: its old config keys are unknown keys
+        and its old flags unrecognized arguments, even at their old defaults."""
+        argv = [command, "--data-dir", synth_db_small, "--output-dir", tmp_path / "out"]
+        if command == "predict":
+            argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
+                     "--record", "100", "--annotation-index", 0]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: flag[1]}))
+        assert run(argv + ["--config", config]) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        with pytest.raises(SystemExit) as exit_:
+            run(argv + flag)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_zero_learning_rate_in_config_exit_2(self, work):
         config = '{"epochs": 1, "learning_rate": 0}'

@@ -62,7 +62,6 @@ def assert_steps_match_oracles(n, seed):
 DENOISE_SIGNAL_SEED = 8
 DENOISE_SHA256 = {
     "default": "e36383d2f9b676ca2dd0b4d50e53a052f3baae46d43482404a5d23b3a259c255",
-    "levels5_window51_hard": "f1ca0e73400873b25a572a8375ffd4e76f798cfc45d18daa741d05ea6c089ccc",
 }
 
 
@@ -210,13 +209,9 @@ class TestThreshold:
         assert_threshold_equal_to_oracle(np.array(values))
 
     def test_soft_shrinkage_values(self):
-        assert dn.apply_threshold(np.array([5.0]), 3.0, "soft")[0] == pytest.approx(2.0)
-        assert dn.apply_threshold(np.array([-2.0]), 3.0, "soft")[0] == 0.0
-        assert dn.apply_threshold(np.array([-5.0]), 3.0, "soft")[0] == pytest.approx(-2.0)
-
-    def test_hard_mode(self):
-        out = dn.apply_threshold(np.array([5.0, -2.0]), 3.0, "hard")
-        assert list(out) == [5.0, 0.0]
+        assert dn.apply_threshold(np.array([5.0]), 3.0)[0] == pytest.approx(2.0)
+        assert dn.apply_threshold(np.array([-2.0]), 3.0)[0] == 0.0
+        assert dn.apply_threshold(np.array([-5.0]), 3.0)[0] == pytest.approx(-2.0)
 
     def test_approx_untouched(self):
         x = np.random.default_rng(2).standard_normal(1024)
@@ -228,12 +223,8 @@ class TestThreshold:
     @settings(max_examples=50, deadline=None)
     def test_soft_threshold_is_contraction(self, seed, t):
         c = np.random.default_rng(seed).standard_normal(64) * 5
-        out = dn.apply_threshold(c, t, "soft")
+        out = dn.apply_threshold(c, t)
         assert np.all(np.abs(out) <= np.abs(c) + 1e-15)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            dn.ThresholdPolicy(mode="fuzzy")
 
 
 def remove_baseline_oracle(x, window):
@@ -374,14 +365,8 @@ class TestDenoise:
             with pytest.raises(LengthError, match=r"length 0 too short .*at most 0 levels fit"):
                 call(np.zeros(0))
 
-    def test_short_signal_at_fitting_settings(self):
-        x = np.random.default_rng(0).standard_normal(200)
-        assert len(dn.denoise(x, levels=5, window=51)) == 200
-
     @pytest.mark.parametrize("name, kwargs", [
         ("default", {}),
-        ("levels5_window51_hard",
-         {"levels": 5, "window": 51, "policy": dn.ThresholdPolicy(mode="hard")}),
     ])
     def test_pinned_digest(self, name, kwargs):
         x = np.random.default_rng(DENOISE_SIGNAL_SEED).standard_normal(20001)

@@ -67,12 +67,12 @@ def keys(beats):
     return list(zip(beats.record_ids.tolist(), beats.annotation_index.tolist()))
 
 
-def write_edge_record(data_dir, name="100", num_samples=3600):
-    """A one-record WFDB database whose first and last of three N beats lie
-    50 samples from the record's ends."""
-    centers = [50, num_samples // 2, num_samples - 50]
+def write_record(data_dir, centers, num_samples, name="100"):
+    """A one-record WFDB database of `num_samples` samples with an N beat
+    annotated at each of `centers`."""
+    codes = "N" * len(centers)
     rng = np.random.default_rng(0)
-    adc = [np.round(200 * synthetic.synth_channel("NNN", centers, num_samples, rng)
+    adc = [np.round(200 * synthetic.synth_channel(codes, centers, num_samples, rng)
                     ).astype(np.int16) + 1024 for _ in range(2)]
     data_dir.mkdir(parents=True, exist_ok=True)
     (data_dir / f"{name}.dat").write_bytes(wf.encode_format212(*adc))
@@ -80,7 +80,14 @@ def write_edge_record(data_dir, name="100", num_samples=3600):
         f"{name} 2 360 {num_samples}\n"
         f"{name}.dat 212 200 11 1024 0 0 0 MLII\n"
         f"{name}.dat 212 200 11 1024 0 0 0 V5\n")
-    (data_dir / f"{name}.atr").write_bytes(wf.encode_annotations(centers, "NNN"))
+    (data_dir / f"{name}.atr").write_bytes(wf.encode_annotations(centers, codes))
+
+
+def write_edge_record(data_dir, name="100", num_samples=3600):
+    """A one-record WFDB database whose first and last of three N beats lie
+    50 samples from the record's ends."""
+    centers = [50, num_samples // 2, num_samples - 50]
+    write_record(data_dir, centers, num_samples, name)
     return centers
 
 
@@ -332,7 +339,7 @@ class TestSegmentRecords:
         sel = wf.select_dataset(recs)
         calls = []
         real = sg.dn.denoise
-        monkeypatch.setattr(sg.dn, "denoise", lambda x, **kw: calls.append(x) or real(x, **kw))
+        monkeypatch.setattr(sg.dn, "denoise", lambda x: calls.append(x) or real(x))
         segments, skips = sg.segment_record_beats(sel)
         assert [id(x) for x in calls] == [id(sel.leads[n]) for n in ("100", "103", "105")]
         assert list(dict.fromkeys(segments.record_ids)) == ["100", "103", "105"]
