@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full experimental protocol on the real database: 13200 beats per set,
-# 300 epochs of Adam at lr 0.001, batch 32. Training takes about 4.5 minutes
-# on a 2-core Xeon (13,200 x 300 beats at the ~14,300-14,800 beats/s that
-# `perfbench/run.py --workload train` measures there).
+# 300 epochs of Adam at lr 0.001, batch 32 (the protocol `ecgres train` always
+# runs). Training takes about 4 1/4 minutes on a 2-core Xeon (13,200 x 300
+# beats at the ~15,560-15,910 beats/s that `perfbench/run.py --workload train`
+# measures there, BENCH_22.json quartiles).
 #
 #   MITDB_DIR=/path/to/mitdb ./scripts/run_full_protocol.sh [output_dir]
 set -eu
@@ -13,7 +14,7 @@ OUT="${1:-runs/full}"
 ecgres preprocess --data-dir "$MITDB_DIR" --output-dir "$OUT" \
     --seed 0 --per-set-size 13200
 ecgres train --data-dir "$MITDB_DIR" --output-dir "$OUT" \
-    --seed 0 --epochs 300 --batch-size 32 --learning-rate 0.001
+    --seed 0 --epochs 300
 ecgres evaluate --checkpoint "$OUT/checkpoint.ecgm" \
     --dataset "$OUT/test.ecgb" --output-dir "$OUT/metrics" --seed 0
 cat "$OUT/metrics/metrics.json"

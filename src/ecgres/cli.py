@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import typing
@@ -34,8 +33,6 @@ class RunConfig:
     seed: int = 0
     per_set_size: int | None = None
     epochs: int = md.TrainConfig.epochs
-    batch_size: int = md.TrainConfig.batch_size
-    learning_rate: float = md.TrainConfig.learning_rate
     eval_each_epoch: bool = md.TrainConfig.eval_each_epoch
     limit: int | None = None
 
@@ -55,8 +52,6 @@ class RunConfig:
                 raise ParseError(f"unknown config keys: {sorted(unknown)}")
             for key, val in data.items():
                 allowed = typing.get_args(hints[key]) or (hints[key],)
-                if float in allowed:
-                    allowed += (int,)
                 if type(val) not in allowed:
                     raise ParseError(f"config key {key!r}: {val!r} has the wrong type")
             cfg = replace(cfg, **data)
@@ -67,13 +62,10 @@ class RunConfig:
             val = getattr(args, f.name, None)
             if val is not None:
                 cfg = replace(cfg, **{f.name: val})
-        for name, low in (("seed", 0), ("epochs", 1), ("batch_size", 1),
-                          ("per_set_size", 1), ("limit", 1)):
+        for name, low in (("seed", 0), ("epochs", 1), ("per_set_size", 1), ("limit", 1)):
             val = getattr(cfg, name)
             if val is not None and val < low:
                 raise ParseError(f"{name} must be at least {low}, got {val}")
-        if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
-            raise ParseError(f"learning_rate must be a finite number > 0, got {cfg.learning_rate}")
         return cfg
 
 
@@ -96,7 +88,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         sel = _select(cfg, name)
         labels.append(sel.labels)
         index_doc += [
-            {"record": rid, "channel": channel, "sample_index": center, "code": "NLRAV"[label]}
+            {"record": rid, "channel": channel, "sample_index": center,
+             "code": wf.CLASS_SYMBOLS[label]}
             for rid, channel, center, label in zip(sel.record_ids.tolist(), sel.channels.tolist(),
                                                    sel.centers.tolist(), sel.labels.tolist())
         ]
@@ -172,14 +165,8 @@ def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
 def cmd_train(cfg: RunConfig) -> int:
     split = _load_split(cfg)
     model = md.build_model(md.ModelConfig(seed=cfg.seed))
-    tc = md.TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        shuffle_seed=cfg.seed,
-        eval_each_epoch=cfg.eval_each_epoch,
-    )
-    log = md.train(model, split, tc, verbose=True)
+    log = md.train(model, split, md.TrainConfig(epochs=cfg.epochs, shuffle_seed=cfg.seed,
+                                                eval_each_epoch=cfg.eval_each_epoch), verbose=True)
 
     out_dir = Path(cfg.output_dir)
     md.save_checkpoint(model, out_dir / "checkpoint.ecgm")
@@ -227,7 +214,7 @@ def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: 
         )
     pred, probs = md.predict_batch(model, sg.segments_to_arrays(beats)[0])
     print(f"record {record}, beat {annotation_index} "
-          f"(sample {row.centers[0]}, annotated {'NLRAV'[row.labels[0]]})")
+          f"(sample {row.centers[0]}, annotated {wf.CLASS_SYMBOLS[row.labels[0]]})")
     print(f"predicted: {wf.BeatClass(pred[0]).name}")
     for c in wf.BeatClass:
         print(f"  {c.name:5s} {probs[0, c]:.4f}")
@@ -255,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the CNN on a preprocessed dataset")
     add_common(p)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float)
     p.add_argument("--eval-each-epoch", dest="eval_each_epoch", action="store_const", const=True)
     p.add_argument("--limit", type=int, help="subsample each set for smoke runs")
 

@@ -104,10 +104,11 @@ def segment_record_beats(selection: Selection) -> tuple[Beats, int]:
     tables, skips = [], 0
     for name in sorted(set(selection.record_ids)):
         rows = selection[selection.record_ids == name]
-        try:
-            channel = dn.denoise(selection.leads[name])
-        except LengthError as e:
-            raise LengthError(f"record {name}: {e}") from e
+        lead = selection.leads[name]
+        if len(lead) < 2 ** dn.DEFAULT_LEVELS:
+            raise LengthError(f"record {name}: signal of length {len(lead)} too short; "
+                              f"denoising needs at least {2 ** dn.DEFAULT_LEVELS} samples")
+        channel = dn.denoise(lead)
         samples, kept = cut_beats(channel, rows.centers)
         skips += len(rows) - len(samples)
         tables.append(Beats(samples, rows.labels[kept], np.full(len(samples), name, dtype=object),

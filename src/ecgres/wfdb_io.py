@@ -46,6 +46,7 @@ ANNOTATION_SYMBOLS = {
     25: "B", 26: "^", 27: "t", 28: "+", 29: "u", 30: "?", 31: "!",
     32: "[", 33: "]", 34: "e", 35: "n", 36: "#", 37: "x", 38: "f",
 }
+_SYMBOL_TO_CODE = {symbol: code for code, symbol in ANNOTATION_SYMBOLS.items()}
 
 # Pseudo-annotation codes: consumed while parsing, never emitted.
 _SKIP, _NUM, _SUB, _CHN, _AUX = 59, 60, 61, 62, 63
@@ -61,9 +62,11 @@ class BeatClass(IntEnum):
     PVC = 4
 
 
-# MIT type code -> BeatClass id; -1 for every code outside the five classes.
+# The MIT symbol of each BeatClass, indexed by its id, and MIT type code ->
+# BeatClass id through those symbols; -1 for every code outside the five classes.
+CLASS_SYMBOLS = "NLRAV"
 CODE_TO_CLASS = np.full(64, -1, dtype=np.int64)
-CODE_TO_CLASS[[1, 2, 3, 8, 5]] = list(BeatClass)  # N, L, R, A, V
+CODE_TO_CLASS[[_SYMBOL_TO_CODE[s] for s in CLASS_SYMBOLS]] = list(BeatClass)
 
 
 @dataclass(frozen=True)
@@ -279,11 +282,10 @@ def parse_annotations(data: bytes, num_samples: int | None = None
 def encode_annotations(samples, symbols) -> bytes:
     """Inverse of parse_annotations, from sample indices and their symbols
     (values of ANNOTATION_SYMBOLS)."""
-    sym_to_code = {v: k for k, v in ANNOTATION_SYMBOLS.items()}
     chunks = []
     prev = 0
     for sample, symbol in zip(samples, symbols):
-        code = sym_to_code[symbol]
+        code = _SYMBOL_TO_CODE[symbol]
         inc = sample - prev
         if inc < 0:
             raise ParseError("annotations must be in increasing sample order")

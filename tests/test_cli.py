@@ -152,8 +152,8 @@ def test_record_too_short_to_denoise_exit_3_names_it(tmp_path, capsys, request, 
         argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
                  "--record", "100", "--annotation-index", 0]
     assert run(argv) == 3
-    assert capsys.readouterr().err == ("error: record 100: signal of length 240 too short "
-                                       "for 8 levels (at most 7 levels fit)\n")
+    assert capsys.readouterr().err == ("error: record 100: signal of length 240 too short; "
+                                       "denoising needs at least 256 samples\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -219,6 +219,24 @@ class TestTrain:
         assert rc == 3
         assert not (tmp_path / "checkpoint.ecgm").exists()
         assert not (tmp_path / "curves.csv").exists()
+
+    def test_trains_with_the_papers_protocol(self, preprocessed, tmp_path):
+        """`train` runs Adam at lr 0.001 in batches of 32: its checkpoint is
+        byte-identical to `model.train` with those values on the same split."""
+        for name in ("train.ecgb", "test.ecgb"):
+            shutil.copy(preprocessed / name, tmp_path / name)
+        assert run(["train", "--output-dir", tmp_path, "--epochs", 1, "--limit", 50,
+                    "--seed", 5]) == 0
+        rng = np.random.default_rng(5)
+        train, test = (sg.load_segments(tmp_path / name) for name in ("train.ecgb", "test.ecgb"))
+        split = sg.DatasetSplit(train[rng.permutation(len(train))[:50]],
+                                test[rng.permutation(len(test))[:50]], 5)
+        model = md.build_model(md.ModelConfig(seed=5))
+        md.train(model, split, md.TrainConfig(epochs=1, batch_size=32, learning_rate=0.001,
+                                              shuffle_seed=5))
+        md.save_checkpoint(model, tmp_path / "protocol.ecgm")
+        assert ((tmp_path / "checkpoint.ecgm").read_bytes()
+                == (tmp_path / "protocol.ecgm").read_bytes())
 
 
 class TestEvaluate:
@@ -395,21 +413,20 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("entry", [
         {"epochs": "2"}, {"epochs": True}, {"epochs": 1.0}, {"limit": [50]},
-        {"learning_rate": "0.1"}, {"eval_each_epoch": 1}, {"seed": None},
+        {"eval_each_epoch": 1}, {"seed": None},
     ])
     def test_wrong_type_exit_2(self, work, entry):
         config = json.dumps({"epochs": 1, **entry})
         assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
 
-    def test_integer_learning_rate_accepted(self, tmp_path):
+    def test_null_optional_count_accepted(self, tmp_path):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"learning_rate": 1, "per_set_size": None}))
+        path.write_text(json.dumps({"per_set_size": None}))
         cfg = cli.RunConfig.load(cli.build_parser().parse_args(["train", "--config", str(path)]))
-        assert cfg.learning_rate == 1 and cfg.per_set_size is None
+        assert cfg.per_set_size is None
 
     @pytest.mark.parametrize("argv", [
-        ["--epochs", 0], ["--batch-size", 0], ["--epochs", 1, "--batch-size", -1],
-        ["--epochs", 1, "--limit", -1], ["--epochs", 1, "--limit", 0],
+        ["--epochs", 0], ["--epochs", 1, "--limit", -1], ["--epochs", 1, "--limit", 0],
         ["--epochs", 1, "--seed", -1],
     ])
     def test_count_below_one_exit_2(self, work, argv):
@@ -417,10 +434,6 @@ class TestRunConfig:
 
     def test_count_below_one_in_config_exit_2(self, work):
         assert self.train(work, config='{"epochs": 0}') == (2, ["test.ecgb", "train.ecgb"])
-
-    @pytest.mark.parametrize("lr", ["0", "-1", "inf", "nan"])
-    def test_bad_learning_rate_exit_2(self, work, lr):
-        assert self.train(work, ["--epochs", 1, f"--lr={lr}"]) == (2, ["test.ecgb", "train.ecgb"])
 
     def test_optimizer_is_not_a_setting_exit_2(self, work):
         config = '{"epochs": 1, "optimizer": "adam"}'
@@ -452,9 +465,23 @@ class TestRunConfig:
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
-    def test_zero_learning_rate_in_config_exit_2(self, work):
-        config = '{"epochs": 1, "learning_rate": 0}'
+    @pytest.mark.parametrize("key, value, flags", [
+        ("batch_size", 32, ["--batch-size"]),
+        ("learning_rate", 0.001, ["--learning-rate", "--lr"]),
+    ], ids=["batch_size", "learning_rate"])
+    def test_training_protocol_is_not_a_setting_exit_2(self, work, capsys, key, value, flags):
+        """Adam at lr 0.001 in batches of 32 is fixed: the old config keys are
+        unknown keys and the old flags unrecognized arguments, even at the
+        protocol's values."""
+        config = json.dumps({"epochs": 1, key: value})
         assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        for flag in flags:
+            with pytest.raises(SystemExit) as exit_:
+                self.train(work, ["--epochs", 1, flag, value])
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert sorted(p.name for p in work.iterdir()) == ["test.ecgb", "train.ecgb"]
 
     @pytest.mark.parametrize("size", [-5, 0])
     def test_per_set_size_below_one_exit_2(self, synth_db_small, tmp_path, size):
