@@ -1,8 +1,7 @@
 """Command-line pipeline driver: ingest, preprocess, train, evaluate, predict.
 
 Exit codes: 0 success, 2 input/data errors and failed artifact writes
-(OSError), 3 pipeline errors, 4 numeric training failure, 5 checkpoint/dataset
-compatibility errors.
+(OSError), 3 pipeline errors, 4 numeric training failure, 5 checkpoint refused.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from . import metrics as me
 from . import model as md
 from . import segment as sg
 from . import wfdb_io as wf
-from .errors import BoundarySkip, EcgresError, ParseError, SizeError
+from .errors import EcgresError, ParseError
 
 DATA_DIR_ENV = "ECGRES_DATA_DIR"
 
@@ -152,13 +151,13 @@ def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
     train_path, test_path = out_dir / "train.ecgb", out_dir / "test.ecgb"
     for p in (train_path, test_path):
         if not p.exists():
-            raise SizeError(f"dataset file {p} not found; run preprocess first")
+            raise EcgresError(f"dataset file {p} not found; run preprocess first")
     rng = np.random.default_rng(cfg.seed)
     train = _limit(sg.load_segments(train_path), cfg.limit, rng)
     test = _limit(sg.load_segments(test_path), cfg.limit, rng)
     for p, beats in ((train_path, train), (test_path, test)):
         if not beats:
-            raise SizeError(f"dataset file {p} holds no beats to use")
+            raise EcgresError(f"dataset file {p} holds no beats to use")
     return sg.DatasetSplit(train, test, cfg.seed)
 
 
@@ -208,7 +207,7 @@ def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: 
     row = selection[annotation_index:annotation_index + 1]
     beats, _ = sg.segment_record_beats(row)
     if not beats:
-        raise BoundarySkip(
+        raise EcgresError(
             f"beat {annotation_index} of record {record} (sample "
             f"{row.centers[0]}) is within {sg.HALF_WINDOW} samples of an end"
         )

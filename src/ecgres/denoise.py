@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LengthError, ParameterError, ShapeError
+from .errors import EcgresError, ParseError
 
 # db4 scaling (low-pass analysis) filter, orthonormal: sum h = sqrt(2), sum h^2 = 1.
 DB4_H = np.array([
@@ -79,7 +79,7 @@ def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, out_length: int) -> np.ndarray:
     if len(a) != len(d):
-        raise ShapeError(f"approx/detail length mismatch: {len(a)} vs {len(d)}")
+        raise EcgresError(f"approx/detail length mismatch: {len(a)} vs {len(d)}")
     n = len(a)
     # 3 wrapped samples in front: ae[j + 3 - s] = a[(j - s) % n] for shifts s <= 3
     ae = np.concatenate([a.take(range(-3, 0), mode="wrap"), a])
@@ -105,11 +105,11 @@ def dwt_forward(signal, levels: int = DEFAULT_LEVELS) -> WaveletDecomposition:
     """Multi-level periodized db4 analysis."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1:
-        raise ShapeError(f"expected 1-D signal, got shape {x.shape}")
+        raise EcgresError(f"expected 1-D signal, got shape {x.shape}")
     if levels < 1:
-        raise ParameterError(f"levels must be >= 1, got {levels}")
+        raise ParseError(f"levels must be >= 1, got {levels}")
     if len(x) < 2 ** levels:
-        raise LengthError(
+        raise EcgresError(
             f"signal of length {len(x)} too short for {levels} levels "
             f"(at most {max(len(x).bit_length() - 1, 0)} levels fit)"
         )
@@ -167,9 +167,9 @@ def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray
     x = np.asarray(signal, dtype=np.float64)
     n = len(x)
     if window <= 0 or window % 2 == 0:
-        raise ParameterError(f"window must be a positive odd integer, got {window}")
+        raise ParseError(f"window must be a positive odd integer, got {window}")
     if window > n:
-        raise LengthError(f"baseline window {window} exceeds the record's {n} samples")
+        raise EcgresError(f"baseline window {window} exceeds the record's {n} samples")
     half = window // 2
     csum = np.zeros(n + 1)
     np.cumsum(x, out=csum[1:])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from .errors import InputError
+from .errors import EcgresError
 from .wfdb_io import BeatClass
 
 NUM_CLASSES = len(BeatClass)
@@ -42,10 +42,10 @@ def confusion(true_labels, predicted_labels) -> np.ndarray:
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predicted_labels, dtype=np.int64)
     if t.shape != p.shape:
-        raise InputError(f"label length mismatch: {t.shape} vs {p.shape}")
+        raise EcgresError(f"label length mismatch: {t.shape} vs {p.shape}")
     if t.size and (t.min() < 0 or t.max() >= NUM_CLASSES
                    or p.min() < 0 or p.max() >= NUM_CLASSES):
-        raise InputError(f"labels must lie in [0, {NUM_CLASSES})")
+        raise EcgresError(f"labels must lie in [0, {NUM_CLASSES})")
     cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(cm, (t, p), 1)
     return cm
@@ -54,10 +54,10 @@ def confusion(true_labels, predicted_labels) -> np.ndarray:
 def compute_metrics(cm: np.ndarray) -> MetricsReport:
     cm = np.asarray(cm, dtype=np.int64)
     if cm.shape != (NUM_CLASSES, NUM_CLASSES):
-        raise InputError(f"expected {NUM_CLASSES}x{NUM_CLASSES} matrix, got {cm.shape}")
+        raise EcgresError(f"expected {NUM_CLASSES}x{NUM_CLASSES} matrix, got {cm.shape}")
     total = int(cm.sum())
     if total == 0:
-        raise InputError("empty confusion matrix")
+        raise EcgresError("empty confusion matrix")
 
     per_class: dict[str, ClassMetrics] = {}
     undefined = []

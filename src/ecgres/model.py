@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import atomic, nn
-from .errors import CheckpointError, NumericError, ShapeError
+from .errors import CheckpointError, EcgresError, NumericError
 from .segment import SEGMENT_SAMPLES, DatasetSplit, segments_to_arrays
 from .wfdb_io import BeatClass
 
@@ -153,7 +153,7 @@ class Model:
         """Logits; `cache=False` keeps nothing for `backward`. `x` is never
         written: its first reader is conv1."""
         if x.ndim != 3 or x.shape[1:] != (1, SEGMENT_SAMPLES):
-            raise ShapeError(f"expected (batch, 1, {SEGMENT_SAMPLES}), got {x.shape}")
+            raise EcgresError(f"expected (batch, 1, {SEGMENT_SAMPLES}), got {x.shape}")
         nn.check_finite(x, "model input")
         h = x.astype(np.float64, copy=False)
         for layer in self.layers:

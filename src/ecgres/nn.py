@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LabelError, NumericError, ShapeError
+from .errors import EcgresError, NumericError
 
 
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -85,11 +85,11 @@ class Conv1d(Layer):
 
     def forward(self, x, cache=True):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ShapeError(
+            raise EcgresError(
                 f"conv1d expects (batch, {self.in_channels}, length), got {x.shape}"
             )
         if x.shape[2] + 2 * self.padding < self.kernel:
-            raise ShapeError(
+            raise EcgresError(
                 f"input length {x.shape[2]} + 2*{self.padding} pad < kernel {self.kernel}"
             )
         b_, c, n = x.shape
@@ -171,7 +171,7 @@ class MaxPool1d(Layer):
 
     def forward(self, x, cache=True):
         if x.ndim != 3 or x.shape[2] < 2:
-            raise ShapeError(f"maxpool1d expects rank-3 input of length >= 2, got {x.shape}")
+            raise EcgresError(f"maxpool1d expects rank-3 input of length >= 2, got {x.shape}")
         # order "K" and zeros_like keep the input's layout; the mask, kept for
         # a backward to come, marks a strictly greater second of the pair
         y = x[:, :, 0::2].copy(order="K")
@@ -242,7 +242,7 @@ class Dense(Layer):
 
     def forward(self, x, cache=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(
+            raise EcgresError(
                 f"dense expects (batch, {self.in_features}), got {x.shape}"
             )
         self._x = x if cache else None
@@ -268,7 +268,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     n_classes = logits.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
-        raise LabelError(
+        raise EcgresError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
@@ -284,7 +284,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def residual_add(main: np.ndarray, shortcut: np.ndarray) -> np.ndarray:
     if main.shape != shortcut.shape:
-        raise ShapeError(f"residual shapes differ: {main.shape} vs {shortcut.shape}")
+        raise EcgresError(f"residual shapes differ: {main.shape} vs {shortcut.shape}")
     return main + shortcut
 
 

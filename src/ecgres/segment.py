@@ -16,7 +16,7 @@ import numpy as np
 
 from . import atomic
 from . import denoise as dn
-from .errors import LengthError, ParseError, SizeError
+from .errors import EcgresError, ParseError
 from .wfdb_io import BeatClass, Selection
 
 WINDOW_SAMPLES = 200
@@ -99,14 +99,14 @@ def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
 
 def segment_record_beats(selection: Selection) -> tuple[Beats, int]:
     """Denoise the lead of each record with selected rows once, in name
-    order, then cut that record's beats; a record too short to denoise is a
-    LengthError naming it. Returns (beats, boundary_skips)."""
+    order, then cut that record's beats; a record too short to denoise is an
+    EcgresError naming it. Returns (beats, boundary_skips)."""
     tables, skips = [], 0
     for name in sorted(set(selection.record_ids)):
         rows = selection[selection.record_ids == name]
         lead = selection.leads[name]
         if len(lead) < 2 ** dn.DEFAULT_LEVELS:
-            raise LengthError(f"record {name}: signal of length {len(lead)} too short; "
+            raise EcgresError(f"record {name}: signal of length {len(lead)} too short; "
                               f"denoising needs at least {2 ** dn.DEFAULT_LEVELS} samples")
         channel = dn.denoise(lead)
         samples, kept = cut_beats(channel, rows.centers)
@@ -129,7 +129,7 @@ def build_split(
     """
     segments = as_beats(segments)
     if not segments:
-        raise SizeError("empty beat index")
+        raise EcgresError("empty beat index")
     rng = np.random.default_rng(seed)
     labels = segments.labels
     halves = []
@@ -140,7 +140,7 @@ def build_split(
     train, test = zip(*halves)
     if per_set_size is not None and per_set_size > min(sum(map(len, train)),
                                                        sum(map(len, test))):
-        raise SizeError(
+        raise EcgresError(
             f"per_set_size {per_set_size} exceeds available beats per set "
             f"({len(segments)} total)"
         )
@@ -228,5 +228,5 @@ def load_segments(path: str | Path) -> Beats:
 def segments_to_arrays(beats: Beats) -> tuple[np.ndarray, np.ndarray]:
     """(batch, 1, 180) float32 inputs and int label vector for the network."""
     if not beats:
-        raise SizeError("no beats to stack: the dataset is empty")
+        raise EcgresError("no beats to stack: the dataset is empty")
     return beats.samples[:, None, :], beats.labels

@@ -2,8 +2,8 @@
 
 Only the subset of the WFDB conventions that the MIT-BIH arrhythmia database
 actually uses is supported: two-signal format-212 records sampled at 360 Hz
-with MIT-format annotation files. A record at another rate raises
-`UnsupportedFormat`, which the CLI ends with exit code 2.
+with MIT-format annotation files. Anything else raises `ParseError`, which
+the CLI ends with exit code 2; `load_record`'s errors name the file or record.
 """
 from __future__ import annotations
 
@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ParseError,
-    RangeError,
-    SelectionError,
-    TruncatedSignal,
-    UnsupportedFormat,
-)
+from .errors import ParseError
 
 # The 48 records of the MIT-BIH arrhythmia database.
 MITBIH_RECORDS = [
@@ -168,7 +162,7 @@ def parse_header(text: str) -> RecordHeader:
         except ValueError as e:
             raise ParseError(f"line {lineno}: bad signal line {lines[1 + i]!r} ({e})") from e
         if fmt != 212:
-            raise UnsupportedFormat(
+            raise ParseError(
                 f"line {lineno}: signal format {fmt} (only 212 supported)"
             )
         if not -2048 <= adc_zero <= 2047:
@@ -196,7 +190,7 @@ def decode_format212(data: bytes, num_samples: int) -> tuple[np.ndarray, np.ndar
     """
     needed = -(-num_samples * 2 * 12 // 8)  # ceil
     if len(data) < needed:
-        raise TruncatedSignal(
+        raise ParseError(
             f"format-212 file too short: need {needed} bytes for "
             f"{num_samples} samples/channel, got {len(data)}"
         )
@@ -269,7 +263,7 @@ def parse_annotations(data: bytes, num_samples: int | None = None
             sample += interval + pending_skip
             pending_skip = 0
             if num_samples is not None and not (0 <= sample < num_samples):
-                raise RangeError(
+                raise ParseError(
                     f"annotation at sample {sample} outside record of {num_samples} samples"
                 )
             samples.append(sample)
@@ -300,6 +294,14 @@ def encode_annotations(samples, symbols) -> bytes:
     return b"".join(chunks)
 
 
+def _naming(path: Path, parse, *args):
+    """`parse(*args)`, with `path` put before the message of a ParseError it raises."""
+    try:
+        return parse(*args)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
 def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     """Load one record's header, signals (converted to mV), and annotations.
 
@@ -313,7 +315,7 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
     except UnicodeDecodeError as e:
         raise ParseError(f"{hea}: byte 0x{data[e.start]:02X} at offset {e.start} "
                          "is not ASCII") from e
-    header = parse_header(text)
+    header = _naming(hea, parse_header, text)
     if header.record_name != name:
         raise ParseError(f"{hea}: header declares record {header.record_name}")
     if header.num_signals != 2:
@@ -321,7 +323,7 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
             f"record {name}: expected 2 signals, header declares {header.num_signals}"
         )
     if header.sampling_frequency != 360:  # the 200-sample beat window assumes it
-        raise UnsupportedFormat(
+        raise ParseError(
             f"record {name}: sampled at {str(header.sampling_frequency).removesuffix('.0')} Hz, "
             "only 360 Hz is supported"
         )
@@ -332,17 +334,16 @@ def load_record(data_dir: str | Path, name: str) -> EcgRecord:
             f"record {name}: format-212 signals must share one file, header names "
             f"{sorted(files)}"
         )
-    raw1, raw2 = decode_format212(
-        (data_dir / files.pop()).read_bytes(), header.num_samples
-    )
+    dat = data_dir / files.pop()
+    raw1, raw2 = _naming(dat, decode_format212, dat.read_bytes(), header.num_samples)
     channels = []
     for spec, raw in zip(header.signals, (raw1, raw2)):
         mv = np.subtract(raw, spec.adc_zero, dtype=np.float64)
         mv /= spec.gain
         channels.append(mv)
-    ann_samples, ann_codes = parse_annotations(
-        (data_dir / f"{name}.atr").read_bytes(), header.num_samples
-    )
+    atr = data_dir / f"{name}.atr"
+    ann_samples, ann_codes = _naming(atr, parse_annotations, atr.read_bytes(),
+                                     header.num_samples)
     return EcgRecord(header, tuple(channels), ann_samples, ann_codes)
 
 
@@ -364,7 +365,7 @@ def select_dataset(records) -> Selection:
             continue
         descriptions = [s.description for s in rec.header.signals]
         if LEAD_NAME not in descriptions:
-            raise SelectionError(
+            raise ParseError(
                 f"record {rec.name} has no {LEAD_NAME} channel (leads: {descriptions})"
             )
         channel = descriptions.index(LEAD_NAME)

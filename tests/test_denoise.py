@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgres import denoise as dn
-from ecgres.errors import LengthError, ParameterError, ShapeError
+from ecgres.errors import EcgresError, ParseError
 
 
 def dwt_step_oracle(x):
@@ -94,7 +94,7 @@ class TestForward:
         assert np.abs(d).max() > 1.0  # the wrap-around discontinuity
 
     def test_too_short_signal(self):
-        with pytest.raises(LengthError):
+        with pytest.raises(EcgresError, match="length 255 too short for 8 levels"):
             dn.dwt_forward(np.zeros(255), 8)
 
     def test_detail_lengths(self):
@@ -147,7 +147,7 @@ class TestPolyphaseSteps:
         assert_steps_match_oracles(n, seed)
 
     def test_synthesis_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(EcgresError, match="approx/detail length mismatch: 4 vs 5"):
             dn._synthesis_step(np.zeros(4), np.zeros(5), 8)
 
 
@@ -258,16 +258,16 @@ class TestRemoveBaseline:
         assert np.abs(dn.remove_baseline(x, 1)).max() < 1e-12
 
     def test_even_window_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParseError, match="positive odd integer, got 10"):
             dn.remove_baseline(np.zeros(100), 10)
 
     def test_nonpositive_window_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParseError, match="positive odd integer, got -3"):
             dn.remove_baseline(np.zeros(100), -3)
 
     def test_window_longer_than_signal_is_a_length_error(self):
         # a valid setting that does not fit the data, like too many levels
-        with pytest.raises(LengthError, match="window 101 exceeds the record's 100 samples"):
+        with pytest.raises(EcgresError, match="window 101 exceeds the record's 100 samples"):
             dn.remove_baseline(np.zeros(100), 101)
         assert np.abs(dn.remove_baseline(np.ones(101), 101)).max() < 1e-12
 
@@ -353,16 +353,16 @@ class TestDenoise:
         assert kept > 0.95
 
     def test_short_signal_rejected(self):
-        with pytest.raises(LengthError):
+        with pytest.raises(EcgresError, match="length 100 too short"):
             dn.denoise(np.zeros(100))
 
     def test_short_signal_names_usable_levels(self):
-        with pytest.raises(LengthError, match="at most 7 levels fit"):
+        with pytest.raises(EcgresError, match="at most 7 levels fit"):
             dn.denoise(np.zeros(200))
 
     def test_empty_signal_names_zero_levels(self):
         for call in (dn.denoise, dn.dwt_forward):
-            with pytest.raises(LengthError, match=r"length 0 too short .*at most 0 levels fit"):
+            with pytest.raises(EcgresError, match=r"length 0 too short .*at most 0 levels fit"):
                 call(np.zeros(0))
 
     @pytest.mark.parametrize("name, kwargs", [

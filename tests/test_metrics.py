@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecgres import metrics as me
-from ecgres.errors import InputError
+from ecgres.errors import EcgresError
 
 
 class TestConfusion:
@@ -23,11 +23,11 @@ class TestConfusion:
         assert cm.sum() == 3
 
     def test_length_mismatch(self):
-        with pytest.raises(InputError):
+        with pytest.raises(EcgresError, match="label length mismatch"):
             me.confusion([0, 1], [0])
 
     def test_out_of_range_label(self):
-        with pytest.raises(InputError):
+        with pytest.raises(EcgresError, match=r"labels must lie in \[0, 5\)"):
             me.confusion([0, 5], [0, 0])
 
 
@@ -90,7 +90,7 @@ class TestComputeMetrics:
         assert r1.macro_specificity == pytest.approx(r2.macro_specificity)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(EcgresError, match="empty confusion matrix"):
             me.compute_metrics(np.zeros((5, 5), dtype=int))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ecgres import model as md
 from ecgres import nn
 from ecgres import segment as sg
-from ecgres.errors import CheckpointError, NumericError, ShapeError, SizeError
+from ecgres.errors import CheckpointError, EcgresError, NumericError
 from ecgres.wfdb_io import BeatClass
 
 from conftest import fd_gradient, rel_error
@@ -123,7 +123,7 @@ class TestForward:
             "38ff7987040a36510132010f35dbc3b6e9b5d36806ba7cf0ba96b5a7c3574e26")
 
     def test_bad_shape(self, small_model):
-        with pytest.raises(ShapeError):
+        with pytest.raises(EcgresError, match=r"expected \(batch, 1, 180\), got \(1, 1, 100\)"):
             small_model.forward(np.zeros((1, 1, 100)))
 
 
@@ -184,7 +184,7 @@ class TestTrain:
 
     def test_empty_training_set_rejected(self):
         # segments_to_arrays refuses an empty set, before any training
-        with pytest.raises(SizeError, match="the dataset is empty"):
+        with pytest.raises(EcgresError, match="the dataset is empty"):
             md.train(md.build_model(), sg.DatasetSplit([], [], 0))
 
     def test_loss_decreases(self, synth_segments):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ecgres import nn
-from ecgres.errors import LabelError, NumericError, ShapeError
+from ecgres.errors import EcgresError, NumericError
 
 from conftest import fd_gradient, rel_error
 
@@ -209,12 +209,12 @@ class TestConv1d:
 
     def test_shape_mismatch(self):
         layer = make_conv(2, 1, 3, 1, 0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(EcgresError, match=r"conv1d expects \(batch, 2, length\)"):
             layer.forward(np.zeros((1, 3, 10)))
 
     def test_kernel_larger_than_input(self):
         layer = make_conv(1, 1, 5, 1, 0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(EcgresError, match=r"input length 3 \+ 2\*0 pad < kernel 5"):
             layer.forward(np.zeros((1, 1, 3)))
 
     def test_gradients_match_finite_differences(self):
@@ -291,10 +291,9 @@ class TestMaxPool:
 
     def test_window_too_large(self):
         # the pair does not fit a length-1 input
-        with pytest.raises(ShapeError):
-            nn.MaxPool1d().forward(np.zeros((1, 1, 1)))
-        with pytest.raises(ShapeError):
-            nn.MaxPool1d().forward(np.zeros((1, 4)))
+        for shape in ((1, 1, 1), (1, 4)):
+            with pytest.raises(EcgresError, match="rank-3 input of length >= 2"):
+                nn.MaxPool1d().forward(np.zeros(shape))
 
     def test_against_oracle_exhaustive_small(self):
         rng = np.random.default_rng(3)
@@ -539,7 +538,7 @@ class TestDense:
 
     def test_shape_mismatch(self):
         layer = nn.Dense(4, 2, rng=np.random.default_rng(0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(EcgresError, match=r"dense expects \(batch, 4\)"):
             layer.forward(np.zeros((1, 3)))
 
     def test_gradients(self):
@@ -586,7 +585,7 @@ class TestSoftmaxCrossEntropy:
         assert np.all(probs >= 0)
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(EcgresError, match=r"labels must lie in \[0, 5\)"):
             nn.softmax_cross_entropy(np.zeros((1, 5)), np.array([5]))
 
     def test_gradient_matches_finite_differences(self):
@@ -611,7 +610,7 @@ class TestResidualAdd:
         assert np.all(nn.residual_add(x, -x) == 0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(EcgresError, match="residual shapes differ"):
             nn.residual_add(np.zeros((1, 2)), np.zeros((2, 1)))
 
 
@@ -624,7 +623,7 @@ class TestFlattenResidual:
 
     def test_residual_shape_mismatch(self):
         block = nn.Residual([make_conv(2, 2, 3, 2, 1)], make_conv(2, 2, 1, 1, 0))
-        with pytest.raises(ShapeError, match="residual"):
+        with pytest.raises(EcgresError, match="residual shapes differ"):
             block.forward(np.zeros((1, 2, 8)))
 
     def test_residual_out_length_and_gradient(self):

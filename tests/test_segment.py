@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ecgres import segment as sg
 from ecgres import synthetic
 from ecgres import wfdb_io as wf
-from ecgres.errors import ParseError, SizeError
+from ecgres.errors import EcgresError, ParseError
 from ecgres.wfdb_io import BeatClass
 
 
@@ -95,7 +95,7 @@ def oracle_split(segments, seed, per_set_size=None):
     """Reference split: the list-pool allocator that `build_split` replaced.
     Returns the (train keys, test keys) lists."""
     if not segments:
-        raise SizeError("empty beat index")
+        raise EcgresError("empty beat index")
     rng = np.random.default_rng(seed)
 
     by_class = {int(c): [] for c in BeatClass}
@@ -118,7 +118,7 @@ def oracle_split(segments, seed, per_set_size=None):
     total = len(segments)
     if per_set_size > min(sum(len(v) for v in train_pool.values()),
                           sum(len(v) for v in test_pool.values())):
-        raise SizeError(
+        raise EcgresError(
             f"per_set_size {per_set_size} exceeds available beats per set "
             f"({len(segments)} total)"
         )
@@ -139,7 +139,7 @@ def oracle_split(segments, seed, per_set_size=None):
                     deficit -= 1
                     progressed = True
             if not progressed:
-                raise SizeError(
+                raise EcgresError(
                     f"cannot reach per_set_size {per_set_size} with available class counts"
                 )
         return [k for c in classes for k in pool[c][: counts[c]]]
@@ -389,11 +389,11 @@ class TestBuildSplit:
 
     def test_size_error(self):
         segs = [make_segment(ann=i, seed=i) for i in range(10)]
-        with pytest.raises(SizeError):
+        with pytest.raises(EcgresError, match="per_set_size 6 exceeds available beats per set"):
             sg.build_split(segs, seed=0, per_set_size=6)
 
     def test_empty_index(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(EcgresError, match="empty beat index"):
             sg.build_split([], seed=0)
 
     @given(st.data())
@@ -413,7 +413,7 @@ class TestBuildSplit:
         for split in (oracle_split, lambda *a: split_keys(sg.build_split(*a))):
             try:
                 outcomes.append(split(segs, seed, size))
-            except SizeError as e:
+            except EcgresError as e:
                 outcomes.append(str(e))
         assert outcomes[0] == outcomes[1]
 
@@ -583,5 +583,5 @@ class TestArrays:
         assert y.tolist() == [0, 1, 2, 3, 4, 0]
 
     def test_empty_raises_size_error(self):
-        with pytest.raises(SizeError, match="empty"):
+        with pytest.raises(EcgresError, match="the dataset is empty"):
             sg.segments_to_arrays(sg.Beats.concat([]))
