@@ -155,7 +155,8 @@ class Model:
         if x.ndim != 3 or x.shape[1:] != (1, SEGMENT_SAMPLES):
             raise EcgresError(f"expected (batch, 1, {SEGMENT_SAMPLES}), got {x.shape}")
         nn.check_finite(x, "model input")
-        h = x.astype(np.float64, copy=False)
+        # a float64 copy in the batch-innermost layout the conv stack keeps
+        h = x.transpose(1, 2, 0).astype(np.float64, order="C").transpose(2, 0, 1)
         for layer in self.layers:
             h = layer.forward(h, cache=cache)
         return h

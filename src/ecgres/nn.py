@@ -3,15 +3,21 @@
 Parameters are stored as float32; layers compute in the dtype of their
 input, which the model makes float64. Activations are shaped (batch,
 channels, length), or (batch, features) after `Flatten`. Up to `Flatten`
-their memory is channel-major: each is a `.transpose(1, 0, 2)` view of a
-C-contiguous (channels, batch, length) array, the layout that a conv's GEMM
+their memory is batch-innermost: each is a `.transpose(2, 0, 1)` view of a
+C-contiguous (channels, length, batch) array, the layout that a conv's GEMM
 writes and the next conv's im2col reads; `Flatten` copies into the
-(channels, length) feature order. Caching is per call: `forward(x)` keeps
-what the next `backward` needs, while `forward(x, cache=False)` computes the
-same output, keeps no backward state and drops what an earlier call kept, so
-inference holds no activations beyond the one in flight. Parameter gradients
-land in the layer's `grads` dict. No autodiff graph: a model is an ordered
-layer list, run forward in order and backward in reverse.
+(channels, length) feature order. The layout is chosen for speed: every
+im2col tap, padding fill and pool half is one strided slice whose inner runs
+are `batch` samples long (256 in inference). A (channels, batch, length)
+layout gives runs of only 23, 12 or 6 samples in the later stages, and with
+those res_conv1's im2col took longer than its GEMM.
+
+Caching is per call: `forward(x)` keeps what the next `backward` needs,
+while `forward(x, cache=False)` computes the same output, keeps no backward
+state and drops what an earlier call kept, so inference holds no
+activations beyond the one in flight. Parameter gradients land in the
+layer's `grads` dict. No autodiff graph: a model is an ordered layer list,
+run forward in order and backward in reverse.
 
 An uncached forward keeps nothing, no layer reads in `forward` what it
 stores for `backward`, and `nn` keeps no state outside its objects, so
@@ -24,7 +30,7 @@ just made). The flag and the in-place ReLU are kept for speed: on perfbench
 uncached ReLU that writes a new array ~3% slower.
 
 `Conv1d` is lowered to matrix products (im2col): its forward fills a
-(channels*kernel, batch*length) matrix tap by tap with strided slices of the
+(channels*kernel, length*batch) matrix tap by tap with strided slices of the
 unpadded input, zeroing the positions that read padding, and multiplies the
 (out_channels, channels*kernel) weights by it; its backward is one product
 for the weight gradient and one for the window gradients, which one
@@ -94,7 +100,7 @@ class Conv1d(Layer):
             )
         b_, c, n = x.shape
         lo, o = self.out_length(n), len(self.params["w"])
-        cols = self._im2col(x.transpose(1, 0, 2), lo, 0.0).reshape(-1, b_ * lo)
+        cols = self._im2col(x.transpose(1, 2, 0), lo, 0.0).reshape(-1, lo * b_)
         self._cols = cols if cache else None
         self._x_shape = x.shape
         # compute in the activation dtype (float64 in the model); the BLAS
@@ -103,8 +109,8 @@ class Conv1d(Layer):
         w = self.params["w"].astype(x.dtype, copy=False)
         y = w.reshape(o, -1) @ cols
         y += self.params["b"].astype(x.dtype, copy=False)[:, None]
-        # the channel-major view costs no copy
-        return y.reshape(o, b_, lo).transpose(1, 0, 2)
+        # the batch-innermost view costs no copy
+        return y.reshape(o, lo, b_).transpose(2, 0, 1)
 
     def _taps(self, n, lo):
         """(m, i0, i1, src) per tap m: of the lo output positions, positions
@@ -118,22 +124,24 @@ class Conv1d(Layer):
             yield m, i0, i1, slice(j0, j0 + (i1 - i0) * s, s)
 
     def _im2col(self, xc, lo, fill):
-        """The (channels, kernel, batch, lo) windows of the (channels, batch,
-        n) array xc: tap m of position i reads xc[..., i*stride + m - padding],
-        and `fill` where that lies outside [0, n)."""
-        c, b_, n = xc.shape
-        cols = np.empty((c, self.kernel, b_, lo), dtype=xc.dtype)
+        """The (channels, kernel, lo, batch) windows of the (channels, n,
+        batch) array xc: tap m of position i reads xc[:, i*stride + m -
+        padding], and `fill` where that lies outside [0, n)."""
+        c, n, b_ = xc.shape
+        cols = np.empty((c, self.kernel, lo, b_), dtype=xc.dtype)
         for m, i0, i1, src in self._taps(n, lo):
-            cols[:, m, :, :i0] = fill
-            cols[:, m, :, i0:i1] = xc[:, :, src]
-            cols[:, m, :, i1:] = fill
+            cols[:, m, :i0] = fill
+            cols[:, m, i0:i1] = xc[:, src]
+            cols[:, m, i1:] = fill
         return cols
 
     def backward(self, gy):
         b_, o, lo = gy.shape
         c, n = self.in_channels, self._x_shape[2]
         w = self.params["w"].astype(gy.dtype, copy=False)
-        g2 = gy.transpose(1, 0, 2).reshape(o, b_ * lo)
+        g2 = gy.transpose(1, 2, 0).reshape(o, lo * b_)
+        # sums over (position, batch), the layout's order; the batch-major
+        # order would cost two transposed copies per call
         self.grads["w"] = (g2 @ self._cols.T).reshape(w.shape)
         # numpy orders a sum's additions by the memory layout; summed in C
         # order, the bias gradient keeps the bytes of the batch-major layout
@@ -142,12 +150,12 @@ class Conv1d(Layer):
         # each position's taps in tap order; the entries that read padding
         # land in the extra last bin, which is dropped
         if self._col2im[0] != (b_, n):
-            pos = np.arange(c * b_ * n).reshape(c, b_, n)
-            self._col2im = (b_, n), self._im2col(pos, lo, c * b_ * n).ravel()
+            pos = np.arange(c * n * b_).reshape(c, n, b_)
+            self._col2im = (b_, n), self._im2col(pos, lo, c * n * b_).ravel()
         idx = self._col2im[1]
         gcols = w.reshape(o, -1).T @ g2
-        gx = np.bincount(idx, weights=gcols.ravel(), minlength=c * b_ * n + 1)
-        return gx[:-1].reshape(c, b_, n).astype(gy.dtype, copy=False).transpose(1, 0, 2)
+        gx = np.bincount(idx, weights=gcols.ravel(), minlength=c * n * b_ + 1)
+        return gx[:-1].reshape(c, n, b_).astype(gy.dtype, copy=False).transpose(2, 0, 1)
 
 
 class ReLU(Layer):
@@ -172,24 +180,29 @@ class MaxPool1d(Layer):
     def forward(self, x, cache=True):
         if x.ndim != 3 or x.shape[2] < 2:
             raise EcgresError(f"maxpool1d expects rank-3 input of length >= 2, got {x.shape}")
-        # order "K" and zeros_like keep the input's layout; the mask, kept for
-        # a backward to come, marks a strictly greater second of the pair
-        y = x[:, :, 0::2].copy(order="K")
-        odd = x[:, :, 1::2]
-        head = y[:, :, : odd.shape[2]]
+        b_, c, n = x.shape
+        y = np.empty((c, self.out_length(n), b_), dtype=x.dtype).transpose(2, 0, 1)
+        even, odd = x[:, :, 0 : n - 1 : 2], x[:, :, 1::2]
+        # the mask, kept for a backward to come, marks a strictly greater
+        # second of the pair; an odd length's last window has no second
         self._mask = np.zeros_like(y, dtype=bool) if cache else None
         if cache:
-            np.greater(odd, head, out=self._mask[:, :, : odd.shape[2]])
-        np.maximum(head, odd, out=head)
-        self._n = x.shape[2]
+            np.greater(odd, even, out=self._mask[:, :, : n // 2])
+        np.maximum(even, odd, out=y[:, :, : n // 2])
+        if n % 2:
+            y[:, :, -1] = x[:, :, -1]
+        self._n = n
         return y
 
     def backward(self, gy):
         b_, c, lo = gy.shape
-        # adds into zeros: a -0.0 gradient lands as +0.0, as assigning would not
-        gx = np.zeros((c, b_, 2 * lo), dtype=gy.dtype).transpose(1, 0, 2)
-        gx[:, :, 0::2] += gy * ~self._mask
-        gx[:, :, 1::2] += gy * self._mask
+        buf = np.empty((c, 2 * lo, b_), dtype=gy.dtype)
+        gx = buf.transpose(2, 0, 1)
+        np.multiply(gy, ~self._mask, out=gx[:, :, 0::2])
+        np.multiply(gy, self._mask, out=gx[:, :, 1::2])
+        # one pass over the whole buffer turns a -0.0 gradient into +0.0, as
+        # adding into zeros did
+        buf += 0.0
         return gx[:, :, : self._n]
 
 
@@ -201,9 +214,9 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, gy):
-        # back in the channel-major layout of the layers before it
-        g = gy.reshape(self._shape).transpose(1, 0, 2)
-        return np.ascontiguousarray(g).transpose(1, 0, 2)
+        # back in the batch-innermost layout of the layers before it
+        g = gy.reshape(self._shape).transpose(1, 2, 0)
+        return np.ascontiguousarray(g).transpose(2, 0, 1)
 
 
 class Residual(Layer):

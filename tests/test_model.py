@@ -295,21 +295,38 @@ class TestPredictBatch:
         assert x.tobytes() == before
 
     @pytest.mark.parametrize("cache", [True, False])
-    def test_activations_are_channel_major(self, beats, small_model, cache, monkeypatch):
+    def test_activations_are_batch_innermost(self, beats, small_model, cache, monkeypatch):
         # every conv, ReLU and pool output before Flatten is a (batch,
-        # channels, length) view of a C-ordered (channels, batch, length) array
-        seen = {}
+        # channels, length) view of a C-ordered (channels, length, batch)
+        # array, and so is every gradient a backward returns to the layer
+        # before it, bar pool2's, the first 23 positions of a 24-long one
+        seen, grads = {}, {}
         for name, layer in small_model._named.items():
             def forward(x, cache=True, name=name, inner=layer.forward):
                 seen[name] = inner(x, cache=cache)
                 return seen[name]
+
+            def backward(gy, name=name, inner=layer.backward):
+                grads[name] = inner(gy)
+                return grads[name]
             monkeypatch.setattr(layer, "forward", forward)
+            monkeypatch.setattr(layer, "backward", backward)
         small_model.forward(beats[:8], cache=cache)
         before_flatten = [n for n in seen if seen[n].ndim == 3]
         assert before_flatten == ["conv1", "pool1", "relu1", "conv2", "pool2", "relu2",
                                   "res_conv1", "res_relu", "res_conv2", "res_proj", "relu3"]
         for name in before_flatten:
-            assert seen[name].transpose(1, 0, 2).flags.c_contiguous, name
+            assert seen[name].transpose(1, 2, 0).flags.c_contiguous, name
+        if not cache:
+            return
+        small_model.backward(np.ones((8, 5)))
+        assert sorted(n for n in grads if grads[n].ndim == 3) == sorted(before_flatten)
+        for name in before_flatten:
+            g = grads[name].transpose(1, 2, 0)
+            if name == "pool2":
+                assert g.base.shape == (18, 24, 8) and g.base.flags.c_contiguous
+                g = g.base
+            assert g.flags.c_contiguous, name
 
     def test_two_threads_match_a_serial_run(self, beats, small_model):
         # uncached forwards keep no shared state, so two threads may run one

@@ -127,24 +127,24 @@ def col2im_tap_loop(layer, gy):
     b_, o, lo = gy.shape
     c, n = layer.in_channels, layer._x_shape[2]
     w = layer.params["w"].astype(gy.dtype, copy=False)
-    g2 = gy.transpose(1, 0, 2).reshape(o, b_ * lo)
-    gcols = (w.reshape(o, -1).T @ g2).reshape(c, layer.kernel, b_, lo)
-    gx = np.zeros((c, b_, n), dtype=gcols.dtype)
+    g2 = gy.transpose(1, 2, 0).reshape(o, lo * b_)
+    gcols = (w.reshape(o, -1).T @ g2).reshape(c, layer.kernel, lo, b_)
+    gx = np.zeros((c, n, b_), dtype=gcols.dtype)
     for m, i0, i1, src in layer._taps(n, lo):
-        gx[:, :, src] += gcols[:, m, :, i0:i1]
-    return gx.astype(gy.dtype, copy=False).transpose(1, 0, 2)
+        gx[:, src] += gcols[:, m, i0:i1]
+    return gx.astype(gy.dtype, copy=False).transpose(2, 0, 1)
 
 
 def col2im_index_closed_form(layer, b_, n, lo):
-    """Conv1d's col2im index as a formula: the flat (channels, batch, n) input
-    position of each im2col entry (c, m, b, i), in im2col order, is
-    c*b_*n + b*n + i*stride + m - padding, or the extra bin c*b_*n when the
+    """Conv1d's col2im index as a formula: the flat (channels, n, batch) input
+    position of each im2col entry (c, m, i, b), in im2col order, is
+    (c*n + i*stride + m - padding)*b_ + b, or the extra bin c*n*b_ when the
     entry reads padding."""
     c = layer.in_channels
     m = np.arange(layer.kernel) - layer.padding
-    j = (np.arange(lo) * layer.stride + m[:, None])[:, None, :]
-    rows = (np.arange(c)[:, None] * b_ + np.arange(b_)) * n
-    return np.where((j >= 0) & (j < n), rows[:, None, :, None] + j, c * b_ * n).ravel()
+    j = (np.arange(lo) * layer.stride + m[:, None])[:, :, None]
+    pos = (np.arange(c)[:, None, None, None] * n + j) * b_ + np.arange(b_)
+    return np.where((j >= 0) & (j < n), pos, c * n * b_).ravel()
 
 
 def make_conv(in_ch, out_ch, kernel, stride, padding, seed=0):
@@ -271,10 +271,10 @@ class TestReLU:
         assert rel_error(g, fd_gradient(lambda v: float(np.sum(np.maximum(v, 0))), x)) < 1e-4
 
 
-def pool_input(x, channel_major):
-    """x, or the same values as a channel-major view, the layout the model's
-    pools read."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2) if channel_major else x
+def pool_input(x, batch_innermost):
+    """x, or the same values as a view of (channels, length, batch) memory,
+    the layout the model's pools read."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1) if batch_innermost else x
 
 
 class TestMaxPool:
@@ -309,8 +309,8 @@ class TestMaxPool:
         gx = layer.backward(np.array([[[1.0, 2.0]]]))
         assert np.array_equal(gx, [[[0.0, 1.0, 2.0]]])
 
-    @pytest.mark.parametrize("channel_major", [False, True])
-    def test_out_length_and_backward_match_windows(self, channel_major):
+    @pytest.mark.parametrize("batch_innermost", [False, True])
+    def test_out_length_and_backward_match_windows(self, batch_innermost):
         # the pairs start at 0, 2, 4, ...; an odd length keeps a final
         # one-sample window
         rng = np.random.default_rng(5)
@@ -318,7 +318,7 @@ class TestMaxPool:
             for n in range(2, 17):
                 layer = nn.MaxPool1d()
                 x = rng.integers(0, 3, (batch, ch, n)).astype(np.float64)  # ties
-                x = pool_input(x, channel_major)
+                x = pool_input(x, batch_innermost)
                 y = layer.forward(x)
                 assert y.shape[2] == layer.out_length(n)
                 gy = rng.standard_normal(y.shape)
@@ -331,8 +331,8 @@ class TestMaxPool:
                         want[b, c, first[b, c]] += gy[b, c, i]
                 assert np.allclose(layer.backward(gy), want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("channel_major", [False, True])
-    def test_forward_and_arg_match_argmax_rule(self, channel_major):
+    @pytest.mark.parametrize("batch_innermost", [False, True])
+    def test_forward_and_arg_match_argmax_rule(self, batch_innermost):
         # ties everywhere (values 0..2, some -inf) and -inf padded odd tails
         rng = np.random.default_rng(12)
         for batch, ch in ((1, 1), (3, 2), (2, 5)):
@@ -340,7 +340,7 @@ class TestMaxPool:
                 layer = nn.MaxPool1d()
                 x = rng.integers(0, 3, (batch, ch, n)).astype(np.float64)
                 x[rng.random(x.shape) < 0.2] = -np.inf
-                y = layer.forward(pool_input(x, channel_major))
+                y = layer.forward(pool_input(x, batch_innermost))
                 want_y, want_arg = maxpool_argmax_reference(x)
                 assert np.array_equal(y, want_y)
                 assert np.array_equal(layer._mask, want_arg == 1)
@@ -385,7 +385,9 @@ class TestPadFreeLowering:
         assert layer._cols is None
         assert layer.forward(x).tobytes() == y.tobytes()
         assert layer._cols.flags.c_contiguous
-        assert layer._cols.tobytes() == np.ascontiguousarray(cols.T).tobytes()
+        # rows (channel, tap), columns (position, batch): the batch innermost
+        want_cols = cols.reshape(batch, -1, in_ch * kernel).transpose(2, 1, 0)
+        assert layer._cols.tobytes() == np.ascontiguousarray(want_cols).tobytes()
         gx = layer.backward(gy)
         assert gx.shape == x.shape
         assert layer.grads["b"].tobytes() == gb.tobytes()
@@ -468,7 +470,7 @@ class TestCol2imBincount:
             layer.forward(x)
             gx = layer.backward(gy)
             assert gx.shape == x.shape
-            assert gx.transpose(1, 0, 2).flags.c_contiguous
+            assert gx.transpose(1, 2, 0).flags.c_contiguous
             assert gx.tobytes() == col2im_tap_loop(layer, gy).tobytes(), batch
             shape, idx = layer._col2im
             want = col2im_index_closed_form(layer, batch, length, lo)
@@ -708,7 +710,7 @@ class TestUncachedForwardMemory:
         layer = make_conv(*conv)
         x = np.random.default_rng(6).standard_normal((4, conv[0], length))
         y = layer.forward(x, cache=False)
-        assert y.transpose(1, 0, 2).flags.c_contiguous
+        assert y.transpose(1, 2, 0).flags.c_contiguous
         kept = y.copy()
         make_conv(conv[0], 6, 5, 1, 2, seed=2).forward(x, cache=False)
         assert y.tobytes() == kept.tobytes()
