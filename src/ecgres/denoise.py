@@ -6,14 +6,15 @@ the transforms `dwt_forward` and `remove_baseline` take a size.
 The wavelet transform is the orthogonal Daubechies-4 (8-tap) filter bank with
 periodized boundaries, run in polyphase form. Analysis coefficient i of a
 stage x of length N is sum over taps m of h[m] * x[(m + 2i) % N]: tap m reads
-every other sample of one periodic extension of x (6 wrapped samples at its
-end) as a strided slice. Synthesis adds h[m] * a + g[m] * d, delayed by m // 2,
-into the even (m even) or odd (m odd) output phase, reading a and d extended
-by 3 wrapped samples at the front, and interleaves the two phases. Odd-length
-stages are handled pywt-style: the last sample is repeated to make the stage
-even, and the inverse truncates back, so perfect reconstruction holds for
-every length; exact energy conservation additionally requires each stage
-length to be even.
+every other sample of x as a strided slice. Only the last 3 coefficients wrap
+around the end, so only the pass or passes holding them read a gathered copy
+of their samples plus the 6 wrapped ones. Synthesis adds h[m] * a + g[m] * d,
+delayed by m // 2, into the even (m even) or odd (m odd) output phase, and
+interleaves the two phases; only the first pass reads a copy of its a and d
+with 3 wrapped samples in front. Odd-length stages are handled pywt-style:
+the last sample is repeated to make the stage even, and the inverse
+truncates back, so perfect reconstruction holds for every length; exact
+energy conservation additionally requires each stage length to be even.
 
 Both steps run in passes of BLOCK coefficients. Each tap's product goes into
 one scratch buffer of a pass and is added into that pass's slice of the
@@ -21,6 +22,15 @@ output, so all 8 taps work on data already in cache; taking each tap over a
 whole stage (2.6 MB per array on a 650,000-sample record) streams every
 operand through main memory 8 times. Every coefficient still sums its taps
 in the order m = 0..7 onto 0.0, so the output does not depend on BLOCK.
+
+Working set. `denoise` soft-thresholds the details it has just decomposed in
+place (after `universal_threshold` has read level 1) and subtracts the
+baseline in place from the lead `dwt_inverse` returned; the caller's signal
+is never written, and `apply_threshold`, `threshold_details` and
+`remove_baseline` return new arrays. Besides buffers one pass long it holds,
+in lead sizes, the details (1) and the level-1 magnitudes (0.5), then the
+details, the level-1 approximation and the reconstruction (2.5, the peak),
+then the reconstruction and its cumulative sum (2).
 """
 from __future__ import annotations
 
@@ -60,18 +70,21 @@ class WaveletDecomposition:
 
 
 def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if len(x) % 2:
-        x = np.concatenate([x, x[-1:]])
-    xp = np.concatenate([x, x.take(range(6), mode="wrap")])  # xp[k] = x[k % len(x)]
-    half = len(x) // 2
+    n = len(x)
+    half = -(-n // 2)
     a = np.zeros(half)
     d = np.zeros(half)
     t = np.empty(min(half, BLOCK))
     for i0 in range(0, half, BLOCK):
         i1 = min(i0 + BLOCK, half)
+        if 2 * i1 + 6 <= n:  # every tap of the pass reads inside the stage
+            src, lo = x, 2 * i0
+        else:  # src[k] = x[(2 * i0 + k) % (2 * half)], x[n] = x[n - 1] for odd n
+            k = np.arange(2 * i0, 2 * i1 + 6) % (2 * half)
+            src, lo = x[np.minimum(k, n - 1)], 0
         ab, db, tb = a[i0:i1], d[i0:i1], t[: i1 - i0]
         for m in range(8):
-            xm = xp[m + 2 * i0 : m + 2 * i1 : 2]  # x[(m + 2i) % len(x)]
+            xm = src[lo + m : lo + m + 2 * (i1 - i0) : 2]  # x[(m + 2i) % (2 * half)]
             ab += np.multiply(DB4_H[m], xm, out=tb)
             db += np.multiply(DB4_G[m], xm, out=tb)
     return a, d
@@ -81,19 +94,22 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, out_length: int) -> np.ndarray
     if len(a) != len(d):
         raise EcgresError(f"approx/detail length mismatch: {len(a)} vs {len(d)}")
     n = len(a)
-    # 3 wrapped samples in front: ae[j + 3 - s] = a[(j - s) % n] for shifts s <= 3
-    ae = np.concatenate([a.take(range(-3, 0), mode="wrap"), a])
-    de = np.concatenate([d.take(range(-3, 0), mode="wrap"), d])
     x = np.empty(2 * n)
     rows = np.empty((4, min(n, BLOCK)))
     for j0 in range(0, n, BLOCK):
         j1 = min(j0 + BLOCK, n)
+        if j0:  # ae[j + 3 - s] = a[j - s] for shifts s <= 3
+            ae, de, lo = a, d, j0 - 3
+        else:  # 3 wrapped samples in front: ae[j + 3 - s] = a[(j - s) % n]
+            ae = np.concatenate([a.take(range(-3, 0), mode="wrap"), a[:j1]])
+            de = np.concatenate([d.take(range(-3, 0), mode="wrap"), d[:j1]])
+            lo = 0
         phases, (t, u) = rows[:2, : j1 - j0], rows[2:, : j1 - j0]
         phases.fill(0.0)
         for m in range(8):
-            s = 3 - m // 2
-            np.multiply(DB4_H[m], ae[j0 + s : j1 + s], out=t)
-            t += np.multiply(DB4_G[m], de[j0 + s : j1 + s], out=u)
+            s = lo + 3 - m // 2
+            np.multiply(DB4_H[m], ae[s : s + j1 - j0], out=t)
+            t += np.multiply(DB4_G[m], de[s : s + j1 - j0], out=u)
             row = phases[m % 2]  # output samples 2j + m % 2
             row += t
         x[2 * j0 : 2 * j1 : 2] = phases[0]
@@ -147,12 +163,22 @@ def universal_threshold(decomp: WaveletDecomposition) -> float:
     return float(sigma * math.sqrt(2.0 * math.log(decomp.stage_lengths[0])))
 
 
+def _shrink(c: np.ndarray, threshold: float) -> None:
+    """Soft-threshold c in place, in passes of BLOCK coefficients."""
+    t = np.empty(min(len(c), BLOCK))
+    for i0 in range(0, len(c), BLOCK):
+        cb = c[i0 : i0 + BLOCK]
+        mag = np.abs(cb, out=t[: len(cb)])
+        mag -= threshold
+        np.maximum(mag, 0.0, out=mag)
+        np.multiply(np.sign(cb, out=cb), mag, out=cb)
+
+
 def apply_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft threshold: sign(c) * max(|c| - threshold, 0)."""
-    out = np.abs(coeffs)
-    out -= threshold
-    np.maximum(out, 0.0, out=out)
-    return np.multiply(np.sign(coeffs), out, out=out)
+    """Soft threshold: sign(c) * max(|c| - threshold, 0), as a new array."""
+    out = np.array(coeffs, dtype=np.float64)
+    _shrink(out, threshold)
+    return out
 
 
 def threshold_details(decomp: WaveletDecomposition) -> WaveletDecomposition:
@@ -162,9 +188,8 @@ def threshold_details(decomp: WaveletDecomposition) -> WaveletDecomposition:
     return replace(decomp, details=details)
 
 
-def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray:
-    """Subtract a centered moving average; edge windows shrink symmetrically."""
-    x = np.asarray(signal, dtype=np.float64)
+def _subtract_baseline(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
+    """out = x minus its centered moving average; out may be x."""
     n = len(x)
     if window <= 0 or window % 2 == 0:
         raise ParseError(f"window must be a positive odd integer, got {window}")
@@ -173,16 +198,31 @@ def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray
     half = window // 2
     csum = np.zeros(n + 1)
     np.cumsum(x, out=csum[1:])
-    baseline = np.empty(n)
-    interior = baseline[half : n - half]  # full windows: one slice difference
-    np.subtract(csum[window:], csum[: n - window + 1], out=interior)
-    interior /= window
+    t = np.empty(min(n, BLOCK))
+    for i0 in range(half, n - half, BLOCK):  # full windows: one slice difference
+        i1 = min(i0 + BLOCK, n - half)
+        tb = np.subtract(csum[i0 + half + 1 : i1 + half + 1], csum[i0 - half : i1 - half],
+                         out=t[: i1 - i0])
+        tb /= window
+        np.subtract(x[i0:i1], tb, out=out[i0:i1])
     edge = np.r_[:half, n - half : n]  # windows shrink to 2 * h + 1 samples
     h = np.minimum(edge, n - 1 - edge)
-    baseline[edge] = (csum[edge + h + 1] - csum[edge - h]) / (2 * h + 1)
-    return np.subtract(x, baseline, out=baseline)
+    out[edge] = x[edge] - (csum[edge + h + 1] - csum[edge - h]) / (2 * h + 1)
+    return out
+
+
+def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray:
+    """Subtract a centered moving average; edge windows shrink symmetrically."""
+    x = np.asarray(signal, dtype=np.float64)
+    return _subtract_baseline(x, window, np.empty(len(x)))
 
 
 def denoise(signal) -> np.ndarray:
     """Full per-record cleanup: wavelet shrinkage, then baseline removal."""
-    return remove_baseline(dwt_inverse(threshold_details(dwt_forward(signal))))
+    decomp = dwt_forward(signal)
+    t = universal_threshold(decomp)
+    for d in decomp.details:
+        _shrink(d, t)
+    x = dwt_inverse(decomp)
+    del decomp  # frees the details before the cumulative sum is allocated
+    return _subtract_baseline(x, DEFAULT_BASELINE_WINDOW, out=x)

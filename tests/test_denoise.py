@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,8 @@ class TestPolyphaseSteps:
         # stage lengths around the edges of the BLOCK-coefficient passes
         2 * dn.BLOCK - 1, 2 * dn.BLOCK, 2 * dn.BLOCK + 1, 2 * dn.BLOCK + 2,
         4 * dn.BLOCK + 7, 649_800,
+        # the analysis tail's wrapped taps reach into the next-to-last pass
+        *range(2 * dn.BLOCK + 3, 2 * dn.BLOCK + 7), *range(4 * dn.BLOCK + 1, 4 * dn.BLOCK + 7),
     ])
     def test_bit_equal_to_oracle(self, n):
         assert_steps_match_oracles(n, n)
@@ -223,8 +226,10 @@ class TestThreshold:
     @settings(max_examples=50, deadline=None)
     def test_soft_threshold_is_contraction(self, seed, t):
         c = np.random.default_rng(seed).standard_normal(64) * 5
+        untouched = c.copy()
         out = dn.apply_threshold(c, t)
-        assert np.all(np.abs(out) <= np.abs(c) + 1e-15)
+        assert c.tobytes() == untouched.tobytes()
+        assert np.all(np.abs(out) <= np.abs(untouched) + 1e-15)
 
 
 def remove_baseline_oracle(x, window):
@@ -372,3 +377,25 @@ class TestDenoise:
         x = np.random.default_rng(DENOISE_SIGNAL_SEED).standard_normal(20001)
         out = dn.denoise(x, **kwargs)
         assert hashlib.sha256(out.tobytes()).hexdigest() == DENOISE_SHA256[name]
+
+    def test_public_functions_leave_their_inputs_unchanged(self):
+        x = np.random.default_rng(10).standard_normal(4099) * 3
+        decomp = dn.dwt_forward(x)
+        before = [a.tobytes() for a in (x, decomp.approx, *decomp.details)]
+        dn.denoise(x)
+        dn.threshold_details(decomp)
+        dn.apply_threshold(decomp.details[0], 0.5)
+        dn.remove_baseline(x)
+        assert [a.tobytes() for a in (x, decomp.approx, *decomp.details)] == before
+
+    def test_record_length_lead_peaks_under_three_lead_sizes(self):
+        """A 650,000-sample lead (MIT-BIH's 30 min at 360 Hz) is denoised in
+        at most 3x its own bytes of Python-traced allocations."""
+        x = np.random.default_rng(11).standard_normal(649_800)
+        tracemalloc.start()
+        try:
+            dn.denoise(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the lead"
