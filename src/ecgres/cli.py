@@ -9,8 +9,6 @@ import argparse
 import json
 import os
 import sys
-import typing
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,66 +23,31 @@ from .errors import EcgresError, ParseError
 DATA_DIR_ENV = "ECGRES_DATA_DIR"
 
 
-@dataclass
-class RunConfig:
-    data_dir: str = "."
-    output_dir: str = "out"
-    seed: int = 0
-    per_set_size: int | None = None
-    epochs: int = md.TrainConfig.epochs
-    eval_each_epoch: bool = md.TrainConfig.eval_each_epoch
-    limit: int | None = None
-
-    @classmethod
-    def load(cls, args) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "config", None):
-            try:
-                data = json.loads(Path(args.config).read_text())
-            except ValueError as e:
-                raise ParseError(f"{args.config}: not valid JSON ({e})") from e
-            if not isinstance(data, dict):
-                raise ParseError(f"{args.config}: expected a JSON object of RunConfig fields")
-            hints = typing.get_type_hints(cls)
-            unknown = set(data) - set(hints)
-            if unknown:
-                raise ParseError(f"unknown config keys: {sorted(unknown)}")
-            for key, val in data.items():
-                allowed = typing.get_args(hints[key]) or (hints[key],)
-                if type(val) not in allowed:
-                    raise ParseError(f"config key {key!r}: {val!r} has the wrong type")
-            cfg = replace(cfg, **data)
-        env_dir = os.environ.get(DATA_DIR_ENV)
-        if env_dir:
-            cfg = replace(cfg, data_dir=env_dir)
-        for f in fields(cls):
-            val = getattr(args, f.name, None)
-            if val is not None:
-                cfg = replace(cfg, **{f.name: val})
-        for name, low in (("seed", 0), ("epochs", 1), ("per_set_size", 1), ("limit", 1)):
-            val = getattr(cfg, name)
-            if val is not None and val < low:
-                raise ParseError(f"{name} must be at least {low}, got {val}")
-        return cfg
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Refuse a count below 1 or a negative seed before any command runs."""
+    for name, low in (("seed", 0), ("epochs", 1), ("per_set_size", 1), ("limit", 1)):
+        val = getattr(args, name, None)
+        if val is not None and val < low:
+            raise ParseError(f"{name} must be at least {low}, got {val}")
 
 
-def _record_names(cfg: RunConfig) -> list[str]:
-    names = wf.discover_records(cfg.data_dir)
+def _record_names(args: argparse.Namespace) -> list[str]:
+    names = wf.discover_records(args.data_dir)
     if not names:
-        raise ParseError(f"no .hea files found in {cfg.data_dir}")
+        raise ParseError(f"no .hea files found in {args.data_dir}")
     return names
 
 
-def _select(cfg: RunConfig, name: str) -> wf.Selection:
+def _select(args: argparse.Namespace, name: str) -> wf.Selection:
     """The selection of one record; the record itself is dropped on return."""
-    return wf.select_dataset([wf.load_record(cfg.data_dir, name)])
+    return wf.select_dataset([wf.load_record(args.data_dir, name)])
 
 
-def cmd_ingest(cfg: RunConfig) -> int:
-    names = _record_names(cfg)
+def cmd_ingest(args: argparse.Namespace) -> int:
+    names = _record_names(args)
     index_doc, labels = [], []
     for name in names:
-        sel = _select(cfg, name)
+        sel = _select(args, name)
         labels.append(sel.labels)
         index_doc += [
             {"record": rid, "channel": channel, "sample_index": center,
@@ -103,30 +66,30 @@ def cmd_ingest(cfg: RunConfig) -> int:
         print(f"  {name:5s} {n}")
     print(f"total beats: {len(index_doc)}")
 
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic.write_bytes(out_dir / "beat_index.json", (json.dumps(index_doc) + "\n").encode())
     print(f"wrote {out_dir / 'beat_index.json'}")
     return 0
 
 
-def _segment_records(cfg: RunConfig) -> tuple[sg.Beats, int]:
+def _segment_records(args: argparse.Namespace) -> tuple[sg.Beats, int]:
     """The beats of every record, cut one record at a time in name order, and
     the boundary skips. The per-record tables are dropped on return."""
     tables, skips = [], 0
-    for name in _record_names(cfg):
-        beats, n = sg.segment_record_beats(_select(cfg, name))
+    for name in _record_names(args):
+        beats, n = sg.segment_record_beats(_select(args, name))
         tables.append(beats)
         skips += n
     return sg.Beats.concat(tables), skips
 
 
-def cmd_preprocess(cfg: RunConfig) -> int:
-    beats, skips = _segment_records(cfg)
-    split = sg.build_split(beats, cfg.seed, cfg.per_set_size)
+def cmd_preprocess(args: argparse.Namespace) -> int:
+    beats, skips = _segment_records(args)
+    split = sg.build_split(beats, args.seed, args.per_set_size)
     total, beats = len(beats), None  # the sets are copies; free the full table before writing
 
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sg.save_segments(split.train, out_dir / "train.ecgb")
     sg.save_segments(split.test, out_dir / "test.ecgb")
@@ -146,28 +109,28 @@ def _limit(beats: sg.Beats, limit: int | None, rng) -> sg.Beats:
     return beats[rng.permutation(len(beats))[:limit]]
 
 
-def _load_split(cfg: RunConfig) -> sg.DatasetSplit:
-    out_dir = Path(cfg.output_dir)
+def _load_split(args: argparse.Namespace) -> sg.DatasetSplit:
+    out_dir = Path(args.output_dir)
     train_path, test_path = out_dir / "train.ecgb", out_dir / "test.ecgb"
     for p in (train_path, test_path):
         if not p.exists():
             raise EcgresError(f"dataset file {p} not found; run preprocess first")
-    rng = np.random.default_rng(cfg.seed)
-    train = _limit(sg.load_segments(train_path), cfg.limit, rng)
-    test = _limit(sg.load_segments(test_path), cfg.limit, rng)
+    rng = np.random.default_rng(args.seed)
+    train = _limit(sg.load_segments(train_path), args.limit, rng)
+    test = _limit(sg.load_segments(test_path), args.limit, rng)
     for p, beats in ((train_path, train), (test_path, test)):
         if not beats:
             raise EcgresError(f"dataset file {p} holds no beats to use")
-    return sg.DatasetSplit(train, test, cfg.seed)
+    return sg.DatasetSplit(train, test, args.seed)
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    split = _load_split(cfg)
-    model = md.build_model(md.ModelConfig(seed=cfg.seed))
-    log = md.train(model, split, md.TrainConfig(epochs=cfg.epochs, shuffle_seed=cfg.seed,
-                                                eval_each_epoch=cfg.eval_each_epoch), verbose=True)
+def cmd_train(args: argparse.Namespace) -> int:
+    split = _load_split(args)
+    model = md.build_model(md.ModelConfig(seed=args.seed))
+    log = md.train(model, split, md.TrainConfig(epochs=args.epochs, shuffle_seed=args.seed,
+                                                eval_each_epoch=args.eval_each_epoch), verbose=True)
 
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(args.output_dir)
     md.save_checkpoint(model, out_dir / "checkpoint.ecgm")
     atomic.write_bytes(out_dir / "curves.csv", log.to_csv().encode())
 
@@ -181,24 +144,25 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig, checkpoint: str, dataset: str) -> int:
-    model = md.load_checkpoint(checkpoint)
-    beats = _limit(sg.load_segments(dataset), cfg.limit, np.random.default_rng(cfg.seed))
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    model = md.load_checkpoint(args.checkpoint)
+    beats = _limit(sg.load_segments(args.dataset), args.limit, np.random.default_rng(args.seed))
     x, y = sg.segments_to_arrays(beats)
     pred, _ = md.predict_batch(model, x)
     cm = me.confusion(y, pred)
     report = me.compute_metrics(cm)
-    me.emit_report(report, cm, cfg.output_dir)
+    me.emit_report(report, cm, args.output_dir)
     print(f"accuracy:    {report.overall_accuracy:.4f}")
     print(f"sensitivity: {report.macro_sensitivity:.4f}")
     print(f"specificity: {report.macro_specificity:.4f}")
-    print(f"wrote reports to {cfg.output_dir}")
+    print(f"wrote reports to {args.output_dir}")
     return 0
 
 
-def cmd_predict(cfg: RunConfig, checkpoint: str, record: str, annotation_index: int) -> int:
-    model = md.load_checkpoint(checkpoint)
-    selection = _select(cfg, record)
+def cmd_predict(args: argparse.Namespace) -> int:
+    record, annotation_index = args.record, args.annotation_index
+    model = md.load_checkpoint(args.checkpoint)
+    selection = _select(args, record)
     if not (0 <= annotation_index < len(selection)):
         raise ParseError(
             f"annotation index {annotation_index} out of range "
@@ -226,10 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="JSON config file (RunConfig fields)")
-        p.add_argument("--data-dir", dest="data_dir", help=f"WFDB directory (or ${DATA_DIR_ENV})")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--data-dir", dest="data_dir", default=os.environ.get(DATA_DIR_ENV) or ".",
+                       help=f"WFDB directory (or ${DATA_DIR_ENV})")
+        p.add_argument("--output-dir", dest="output_dir", default="out")
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("ingest", help="parse records and build the beat index")
     add_common(p)
@@ -240,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the CNN on a preprocessed dataset")
     add_common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-each-epoch", dest="eval_each_epoch", action="store_const", const=True)
+    p.add_argument("--epochs", type=int, default=md.TrainConfig.epochs)
+    p.add_argument("--eval-each-epoch", dest="eval_each_epoch", action="store_true")
     p.add_argument("--limit", type=int, help="subsample each set for smoke runs")
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset file")
@@ -261,18 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint, args.dataset)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.checkpoint, args.record, args.annotation_index)
-        raise AssertionError(args.command)
+        _check_ranges(args)
+        command = {"ingest": cmd_ingest, "preprocess": cmd_preprocess, "train": cmd_train,
+                   "evaluate": cmd_evaluate, "predict": cmd_predict}[args.command]
+        return command(args)
     except EcgresError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -1,7 +1,7 @@
 """One error class per CLI exit code, carried as `exit_code`: 2 `ParseError`,
-malformed input (a WFDB, `.ecgb` or config file, or an argument it cannot
-satisfy); 3 `EcgresError` itself, a pipeline error; 4 `NumericError`,
-non-finite values in training; 5 `CheckpointError`, checkpoint refused.
+malformed input (a WFDB or `.ecgb` file, or an argument it cannot satisfy);
+3 `EcgresError` itself, a pipeline error; 4 `NumericError`, non-finite values
+in training; 5 `CheckpointError`, checkpoint refused.
 """
 
 

@@ -89,21 +89,15 @@ def compute_metrics(cm: np.ndarray) -> MetricsReport:
     )
 
 
-def emit_report(report: MetricsReport, cm: np.ndarray, out_dir) -> list[Path]:
+def emit_report(report: MetricsReport, cm: np.ndarray, out_dir) -> None:
     """Write confusion.csv and metrics.json into out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
 
-    p = out_dir / "confusion.csv"
     lines = ["true\\pred," + ",".join(CLASS_NAMES)]
     for name, row in zip(CLASS_NAMES, np.asarray(cm)):
         lines.append(name + "," + ",".join(str(int(v)) for v in row))
-    atomic.write_bytes(p, ("\n".join(lines) + "\n").encode())
-    files.append(p)
+    atomic.write_bytes(out_dir / "confusion.csv", ("\n".join(lines) + "\n").encode())
 
-    p = out_dir / "metrics.json"
     text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-    atomic.write_bytes(p, text.encode())
-    files.append(p)
-    return files
+    atomic.write_bytes(out_dir / "metrics.json", text.encode())

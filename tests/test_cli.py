@@ -63,6 +63,13 @@ class TestIngest:
         rc = run(["ingest", "--output-dir", tmp_path])
         assert rc == 0
 
+    def test_data_dir_flag_wins_over_env_var(self, synth_db_small, tmp_path, monkeypatch):
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv(cli.DATA_DIR_ENV, str(tmp_path / "empty"))
+        rc = run(["ingest", "--data-dir", synth_db_small, "--output-dir", tmp_path / "out"])
+        assert rc == 0
+        assert (tmp_path / "out" / "beat_index.json").exists()
+
     def test_output_dir_is_a_file_exit_2(self, synth_db_small, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -184,16 +191,6 @@ class TestPreprocess:
         rc = run(["preprocess", "--data-dir", synth_db_small, "--output-dir", tmp_path,
                   "--per-set-size", 10**7])
         assert rc == 3
-
-    def test_config_file(self, synth_db_small, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({
-            "data_dir": str(synth_db_small),
-            "output_dir": str(tmp_path / "out"),
-            "seed": 2,
-        }))
-        assert run(["preprocess", "--config", cfg]) == 0
-        assert (tmp_path / "out" / "train.ecgb").exists()
 
 
 class TestTrain:
@@ -384,8 +381,8 @@ class TestPredict:
             assert capsys.readouterr().out.endswith(want)
 
 
-class TestRunConfig:
-    """A malformed run config exits 2 before any file is written."""
+class TestRejectedFlags:
+    """A flag out of range or not accepted exits 2 before any file is written."""
 
     @pytest.fixture
     def work(self, preprocessed, tmp_path):
@@ -395,35 +392,10 @@ class TestRunConfig:
             shutil.copy(preprocessed / name, work / name)
         return work
 
-    def train(self, work, argv=(), config=None):
+    def train(self, work, argv=()):
         """Exit code of a one-epoch `train` in `work`, and the files left there."""
-        if config is not None:
-            path = work.parent / "run.json"
-            path.write_text(config)
-            argv = [*argv, "--config", path]
         rc = run(["train", "--output-dir", work, "--limit", 50, *argv])
         return rc, sorted(p.name for p in work.iterdir())
-
-    def test_invalid_json_exit_2(self, work):
-        assert self.train(work, config="{") == (2, ["test.ecgb", "train.ecgb"])
-
-    @pytest.mark.parametrize("text", ["null", "[]", "3"])
-    def test_not_an_object_exit_2(self, work, text):
-        assert self.train(work, config=text) == (2, ["test.ecgb", "train.ecgb"])
-
-    @pytest.mark.parametrize("entry", [
-        {"epochs": "2"}, {"epochs": True}, {"epochs": 1.0}, {"limit": [50]},
-        {"eval_each_epoch": 1}, {"seed": None},
-    ])
-    def test_wrong_type_exit_2(self, work, entry):
-        config = json.dumps({"epochs": 1, **entry})
-        assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
-
-    def test_null_optional_count_accepted(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"per_set_size": None}))
-        cfg = cli.RunConfig.load(cli.build_parser().parse_args(["train", "--config", str(path)]))
-        assert cfg.per_set_size is None
 
     @pytest.mark.parametrize("argv", [
         ["--epochs", 0], ["--epochs", 1, "--limit", -1], ["--epochs", 1, "--limit", 0],
@@ -432,50 +404,37 @@ class TestRunConfig:
     def test_count_below_one_exit_2(self, work, argv):
         assert self.train(work, argv) == (2, ["test.ecgb", "train.ecgb"])
 
-    def test_count_below_one_in_config_exit_2(self, work):
-        assert self.train(work, config='{"epochs": 0}') == (2, ["test.ecgb", "train.ecgb"])
-
     def test_optimizer_is_not_a_setting_exit_2(self, work):
-        config = '{"epochs": 1, "optimizer": "adam"}'
-        assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
         with pytest.raises(SystemExit) as exit_:
             self.train(work, ["--epochs", 1, "--optimizer", "sgd"])
         assert exit_.value.code == 2
+        assert sorted(p.name for p in work.iterdir()) == ["test.ecgb", "train.ecgb"]
 
     @pytest.mark.parametrize("command", ["preprocess", "predict"])
-    @pytest.mark.parametrize("key, flag", [("levels", ["--levels", 8]),
-                                           ("window", ["--window", 251]),
-                                           ("threshold_mode", ["--threshold-mode", "soft"])],
+    @pytest.mark.parametrize("flag", [["--levels", 8], ["--window", 251],
+                                      ["--threshold-mode", "soft"]],
                              ids=["levels", "window", "threshold_mode"])
     def test_denoising_is_not_a_setting_exit_2(self, synth_db_small, tmp_path, capsys, request,
-                                               command, key, flag):
-        """The db4 denoising is fixed: its old config keys are unknown keys
-        and its old flags unrecognized arguments, even at their old defaults."""
+                                               command, flag):
+        """The db4 denoising is fixed: its old flags are unrecognized
+        arguments, even at their old defaults."""
         argv = [command, "--data-dir", synth_db_small, "--output-dir", tmp_path / "out"]
         if command == "predict":
             argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
                      "--record", "100", "--annotation-index", 0]
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: flag[1]}))
-        assert run(argv + ["--config", config]) == 2
-        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
         with pytest.raises(SystemExit) as exit_:
             run(argv + flag)
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key, value, flags", [
-        ("batch_size", 32, ["--batch-size"]),
-        ("learning_rate", 0.001, ["--learning-rate", "--lr"]),
+    @pytest.mark.parametrize("value, flags", [
+        (32, ["--batch-size"]),
+        (0.001, ["--learning-rate", "--lr"]),
     ], ids=["batch_size", "learning_rate"])
-    def test_training_protocol_is_not_a_setting_exit_2(self, work, capsys, key, value, flags):
-        """Adam at lr 0.001 in batches of 32 is fixed: the old config keys are
-        unknown keys and the old flags unrecognized arguments, even at the
-        protocol's values."""
-        config = json.dumps({"epochs": 1, key: value})
-        assert self.train(work, config=config) == (2, ["test.ecgb", "train.ecgb"])
-        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+    def test_training_protocol_is_not_a_setting_exit_2(self, work, capsys, value, flags):
+        """Adam at lr 0.001 in batches of 32 is fixed: the old flags are
+        unrecognized arguments, even at the protocol's values."""
         for flag in flags:
             with pytest.raises(SystemExit) as exit_:
                 self.train(work, ["--epochs", 1, flag, value])
@@ -496,6 +455,23 @@ class TestRunConfig:
                   "--limit", -1])
         assert rc == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "preprocess", "train", "evaluate", "predict"])
+    def test_config_file_is_not_a_setting_exit_2(self, synth_db_small, tmp_path, capsys,
+                                                 command):
+        """Each setting is a flag: `--config` is an unrecognized argument and
+        the file it names is not read."""
+        required = {"evaluate": ["--checkpoint", "checkpoint.ecgm", "--dataset", "test.ecgb"],
+                    "predict": ["--checkpoint", "checkpoint.ecgm", "--record", "100",
+                                "--annotation-index", 0]}.get(command, [])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 2}))
+        with pytest.raises(SystemExit) as exit_:
+            run([command, "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
+                 *required, "--config", config])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 @pytest.mark.parametrize("command, name", [("evaluate", "test.ecgb"), ("train", "train.ecgb")])

@@ -101,9 +101,8 @@ class TestEmitReport:
 
     def test_files_written(self, tmp_path):
         report, cm = self._sample()
-        files = me.emit_report(report, cm, tmp_path)
-        names = {f.name for f in files}
-        assert names == {"confusion.csv", "metrics.json"}
+        me.emit_report(report, cm, tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == {"confusion.csv", "metrics.json"}
 
     def test_confusion_csv_layout(self, tmp_path):
         report, cm = self._sample()
