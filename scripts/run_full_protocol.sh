@@ -13,8 +13,7 @@ OUT="${1:-runs/full}"
 
 ecgres preprocess --data-dir "$MITDB_DIR" --output-dir "$OUT" \
     --seed 0 --per-set-size 13200
-ecgres train --data-dir "$MITDB_DIR" --output-dir "$OUT" \
-    --seed 0 --epochs 300
+ecgres train --output-dir "$OUT" --seed 0 --epochs 300
 ecgres evaluate --checkpoint "$OUT/checkpoint.ecgm" \
     --dataset "$OUT/test.ecgb" --output-dir "$OUT/metrics" --seed 0
 cat "$OUT/metrics/metrics.json"

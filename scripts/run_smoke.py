@@ -29,16 +29,15 @@ def check_resave(out):
 
 
 def run_pipeline(data_dir, args):
-    base = ["--data-dir", data_dir, "--output-dir", args.out, "--seed", "0"]
+    data, out, seed = ["--data-dir", data_dir], ["--output-dir", args.out], ["--seed", "0"]
     checkpoint = ["--checkpoint", f"{args.out}/checkpoint.ecgm"]
     for argv in (
-        ["ingest", *base],
-        ["preprocess", *base, "--per-set-size", str(args.limit)],
-        ["train", *base, "--epochs", str(args.epochs)],
+        ["ingest", *data, *out],
+        ["preprocess", *data, *out, *seed, "--per-set-size", str(args.limit)],
+        ["train", *out, *seed, "--epochs", str(args.epochs)],
         ["evaluate", *checkpoint, "--dataset", f"{args.out}/test.ecgb",
-         "--output-dir", f"{args.out}/metrics", "--seed", "0"],
-        ["predict", *checkpoint, "--data-dir", data_dir, "--record", "100",
-         "--annotation-index", "10"],
+         "--output-dir", f"{args.out}/metrics", *seed],
+        ["predict", *checkpoint, *data, "--record", "100", "--annotation-index", "10"],
     ):
         rc = cli.main(argv)
         if rc != 0:

@@ -188,37 +188,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecgres",
                                      description="MIT-BIH heartbeat classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {"--data-dir": dict(default=os.environ.get(DATA_DIR_ENV) or ".",
+                                 help=f"WFDB directory (or ${DATA_DIR_ENV})"),
+              "--output-dir": dict(default="out"), "--seed": dict(type=int, default=0)}
 
-    def add_common(p):
-        p.add_argument("--data-dir", dest="data_dir", default=os.environ.get(DATA_DIR_ENV) or ".",
-                       help=f"WFDB directory (or ${DATA_DIR_ENV})")
-        p.add_argument("--output-dir", dest="output_dir", default="out")
-        p.add_argument("--seed", type=int, default=0)
+    def add(command, about, *flags):
+        """A subcommand taking the named shared flags, and only those."""
+        p = sub.add_parser(command, help=about)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("ingest", help="parse records and build the beat index")
-    add_common(p)
+    add("ingest", "parse records and build the beat index", "--data-dir", "--output-dir")
+    p = add("preprocess", "denoise, segment, and split the dataset",
+            "--data-dir", "--output-dir", "--seed")
+    p.add_argument("--per-set-size", type=int)
 
-    p = sub.add_parser("preprocess", help="denoise, segment, and split the dataset")
-    add_common(p)
-    p.add_argument("--per-set-size", dest="per_set_size", type=int)
-
-    p = sub.add_parser("train", help="train the CNN on a preprocessed dataset")
-    add_common(p)
+    p = add("train", "train the CNN on a preprocessed dataset", "--output-dir", "--seed")
     p.add_argument("--epochs", type=int, default=md.TrainConfig.epochs)
-    p.add_argument("--eval-each-epoch", dest="eval_each_epoch", action="store_true")
+    p.add_argument("--eval-each-epoch", action="store_true")
     p.add_argument("--limit", type=int, help="subsample each set for smoke runs")
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset file")
-    add_common(p)
+    p = add("evaluate", "evaluate a checkpoint on a dataset file", "--output-dir", "--seed")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--limit", type=int)
 
-    p = sub.add_parser("predict", help="classify one annotated beat from a record")
-    add_common(p)
+    p = add("predict", "classify one annotated beat from a record", "--data-dir")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--record", required=True)
-    p.add_argument("--annotation-index", dest="annotation_index", type=int, required=True)
+    p.add_argument("--annotation-index", type=int, required=True)
     return parser
 
 

@@ -265,8 +265,7 @@ def test_criterion_7_determinism(synth_db_small, tmp_path):
         out = tmp_path / run_dir
         assert cli.main(["preprocess", "--data-dir", str(synth_db_small),
                          "--output-dir", str(out), "--seed", "9"]) == 0
-        assert cli.main(["train", "--data-dir", str(synth_db_small),
-                         "--output-dir", str(out), "--seed", "9",
+        assert cli.main(["train", "--output-dir", str(out), "--seed", "9",
                          "--epochs", "2", "--limit", "400"]) == 0
         assert cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.ecgm"),
                          "--dataset", str(out / "test.ecgb"),

@@ -35,10 +35,9 @@ def preprocessed(synth_db_small, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trained(preprocessed, synth_db_small):
+def trained(preprocessed):
     rc = run([
-        "train", "--data-dir", synth_db_small, "--output-dir", preprocessed,
-        "--seed", 5, "--epochs", 3, "--limit", 300,
+        "train", "--output-dir", preprocessed, "--seed", 5, "--epochs", 3, "--limit", 300,
     ])
     assert rc == 0
     return preprocessed
@@ -154,10 +153,12 @@ def test_other_sampling_rate_exit_2(synth_db_small, tmp_path, capsys, request, c
 def test_record_too_short_to_denoise_exit_3_names_it(tmp_path, capsys, request, command):
     # both beats fit the 200-sample window, but 8-level db4 needs 2**8 samples
     write_record(tmp_path / "db", [100, 120], 240)
-    argv = [command, "--data-dir", tmp_path / "db", "--output-dir", tmp_path / "out"]
+    argv = [command, "--data-dir", tmp_path / "db"]
     if command == "predict":
         argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
                  "--record", "100", "--annotation-index", 0]
+    else:
+        argv += ["--output-dir", tmp_path / "out"]
     assert run(argv) == 3
     assert capsys.readouterr().err == ("error: record 100: signal of length 240 too short; "
                                        "denoising needs at least 256 samples\n")
@@ -202,9 +203,8 @@ class TestTrain:
         assert len(losses) == 3
         assert losses[-1] < losses[0]
 
-    def test_missing_dataset_exit_3(self, synth_db_small, tmp_path):
-        rc = run(["train", "--data-dir", synth_db_small, "--output-dir", tmp_path,
-                  "--epochs", 1])
+    def test_missing_dataset_exit_3(self, tmp_path):
+        rc = run(["train", "--output-dir", tmp_path, "--epochs", 1])
         assert rc == 3
 
     @pytest.mark.parametrize("empty", ["train.ecgb", "test.ecgb"])
@@ -381,6 +381,45 @@ class TestPredict:
             assert capsys.readouterr().out.endswith(want)
 
 
+# The shared flags each subcommand reads, and so accepts (README "CLI").
+SHARED_FLAGS = {"ingest": ("--data-dir", "--output-dir"),
+                "preprocess": ("--data-dir", "--output-dir", "--seed"),
+                "train": ("--output-dir", "--seed"), "evaluate": ("--output-dir", "--seed"),
+                "predict": ("--data-dir",)}
+# The flags evaluate and predict require; the files they name are never read here.
+REQUIRED = {"evaluate": ["--checkpoint", "checkpoint.ecgm", "--dataset", "test.ecgb"],
+            "predict": ["--checkpoint", "checkpoint.ecgm", "--record", "100",
+                        "--annotation-index", 0]}
+
+
+def parse(argv):
+    return cli.build_parser().parse_args([str(a) for a in argv])
+
+
+@pytest.mark.parametrize("flag", ["--data-dir", "--output-dir", "--seed"])
+@pytest.mark.parametrize("command", list(SHARED_FLAGS))
+def test_shared_flag_accepted_only_where_read(tmp_path, capsys, monkeypatch, command, flag):
+    """A subcommand takes a shared flag, with its default, exactly when it
+    reads it. Elsewhere the flag is an unrecognized argument: exit 2, nothing
+    written."""
+    monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv, dest = [command, *REQUIRED.get(command, [])], flag[2:].replace("-", "_")
+    if flag in SHARED_FLAGS[command]:
+        default = {"--data-dir": ".", "--output-dir": "out", "--seed": 0}[flag]
+        assert getattr(parse(argv), dest) == default
+        assert getattr(parse([*argv, flag, 7]), dest) == (7 if flag == "--seed" else "7")
+        if flag == "--data-dir":
+            monkeypatch.setenv(cli.DATA_DIR_ENV, "db")
+            assert parse(argv).data_dir == "db"
+        return
+    with pytest.raises(SystemExit) as exit_:
+        run([*argv, flag, 7])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestRejectedFlags:
     """A flag out of range or not accepted exits 2 before any file is written."""
 
@@ -418,10 +457,12 @@ class TestRejectedFlags:
                                                command, flag):
         """The db4 denoising is fixed: its old flags are unrecognized
         arguments, even at their old defaults."""
-        argv = [command, "--data-dir", synth_db_small, "--output-dir", tmp_path / "out"]
+        argv = [command, "--data-dir", synth_db_small]
         if command == "predict":
             argv += ["--checkpoint", request.getfixturevalue("trained") / "checkpoint.ecgm",
                      "--record", "100", "--annotation-index", 0]
+        else:
+            argv += ["--output-dir", tmp_path / "out"]
         with pytest.raises(SystemExit) as exit_:
             run(argv + flag)
         assert exit_.value.code == 2
@@ -461,14 +502,15 @@ class TestRejectedFlags:
                                                  command):
         """Each setting is a flag: `--config` is an unrecognized argument and
         the file it names is not read."""
-        required = {"evaluate": ["--checkpoint", "checkpoint.ecgm", "--dataset", "test.ecgb"],
-                    "predict": ["--checkpoint", "checkpoint.ecgm", "--record", "100",
-                                "--annotation-index", 0]}.get(command, [])
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"seed": 2}))
+        values = {"--data-dir": synth_db_small, "--output-dir": tmp_path / "out"}
+        argv = [command, *REQUIRED.get(command, [])]
+        for flag in SHARED_FLAGS[command]:
+            if flag in values:
+                argv += [flag, values[flag]]
         with pytest.raises(SystemExit) as exit_:
-            run([command, "--data-dir", synth_db_small, "--output-dir", tmp_path / "out",
-                 *required, "--config", config])
+            run([*argv, "--config", config])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
@@ -566,8 +608,7 @@ def pristine(tmp_path_factory):
     root = tmp_path_factory.mktemp("pristine")
     synthetic.make_database(root, duration_s=60, seed=11, records=["100"])
     assert run(["preprocess", "--data-dir", root, "--output-dir", root]) == 0
-    assert run(["train", "--data-dir", root, "--output-dir", root, "--epochs", 1,
-                "--limit", 32]) == 0
+    assert run(["train", "--output-dir", root, "--epochs", 1, "--limit", 32]) == 0
     return {p.name: p.read_bytes() for p in root.iterdir() if p.suffix != ".csv"}
 
 
@@ -602,14 +643,14 @@ def test_corrupted_input_ends_in_a_documented_exit_code(pristine, data):
         for other, content in pristine.items():
             (work / other).write_bytes(content)
         (work / name).write_bytes(corrupt(data.draw, pristine[name]))
-        common = ["--data-dir", work, "--output-dir", work / "out", "--seed", 0]
-        predict = ["predict", *common, "--checkpoint", work / "checkpoint.ecgm",
+        db, out, seed = ["--data-dir", work], ["--output-dir", work / "out"], ["--seed", 0]
+        predict = ["predict", *db, "--checkpoint", work / "checkpoint.ecgm",
                    "--record", "100", "--annotation-index", 5]
         if name.endswith((".hea", ".dat", ".atr")):
-            commands = [["ingest", *common], ["preprocess", *common], predict]
+            commands = [["ingest", *db, *out], ["preprocess", *db, *out, *seed], predict]
         else:
             dataset = work / (name if name.endswith(".ecgb") else "test.ecgb")
-            commands = [["evaluate", *common, "--checkpoint", work / "checkpoint.ecgm",
+            commands = [["evaluate", *out, *seed, "--checkpoint", work / "checkpoint.ecgm",
                          "--dataset", dataset],
                         ["train", "--output-dir", work, "--epochs", 1, "--limit", 32]]
         for argv in commands:
@@ -643,10 +684,12 @@ def test_reader_error_exit_2_names_the_file(pristine, tmp_path, capsys, command,
     for other, content in pristine.items():
         (tmp_path / other).write_bytes(content)
     (tmp_path / name).write_bytes(damage(pristine[name]))
-    argv = [command, "--data-dir", tmp_path, "--output-dir", tmp_path / "out"]
+    argv = [command, "--data-dir", tmp_path]
     if command == "predict":
         argv += ["--checkpoint", tmp_path / "checkpoint.ecgm", "--record", "100",
                  "--annotation-index", 5]
+    else:
+        argv += ["--output-dir", tmp_path / "out"]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
     assert not (tmp_path / "out").exists()
