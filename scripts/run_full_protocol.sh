@@ -15,5 +15,5 @@ ecgres preprocess --data-dir "$MITDB_DIR" --output-dir "$OUT" \
     --seed 0 --per-set-size 13200
 ecgres train --output-dir "$OUT" --seed 0 --epochs 300
 ecgres evaluate --checkpoint "$OUT/checkpoint.ecgm" \
-    --dataset "$OUT/test.ecgb" --output-dir "$OUT/metrics" --seed 0
+    --dataset "$OUT/test.ecgb" --output-dir "$OUT/metrics"
 cat "$OUT/metrics/metrics.json"

@@ -33,10 +33,10 @@ def run_pipeline(data_dir, args):
     checkpoint = ["--checkpoint", f"{args.out}/checkpoint.ecgm"]
     for argv in (
         ["ingest", *data, *out],
-        ["preprocess", *data, *out, *seed, "--per-set-size", str(args.limit)],
+        ["preprocess", *data, *out, *seed, "--per-set-size", str(args.per_set_size)],
         ["train", *out, *seed, "--epochs", str(args.epochs)],
         ["evaluate", *checkpoint, "--dataset", f"{args.out}/test.ecgb",
-         "--output-dir", f"{args.out}/metrics", *seed],
+         "--output-dir", f"{args.out}/metrics"],
         ["predict", *checkpoint, *data, "--record", "100", "--annotation-index", "10"],
     ):
         rc = cli.main(argv)
@@ -49,7 +49,7 @@ def run_pipeline(data_dir, args):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/smoke")
-    ap.add_argument("--limit", type=int, default=3000)
+    ap.add_argument("--per-set-size", type=int, default=3000)
     ap.add_argument("--epochs", type=int, default=50)
     args = ap.parse_args()
 

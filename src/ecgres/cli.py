@@ -25,7 +25,7 @@ DATA_DIR_ENV = "ECGRES_DATA_DIR"
 
 def _check_ranges(args: argparse.Namespace) -> None:
     """Refuse a count below 1 or a negative seed before any command runs."""
-    for name, low in (("seed", 0), ("epochs", 1), ("per_set_size", 1), ("limit", 1)):
+    for name, low in (("seed", 0), ("epochs", 1), ("per_set_size", 1)):
         val = getattr(args, name, None)
         if val is not None and val < low:
             raise ParseError(f"{name} must be at least {low}, got {val}")
@@ -102,22 +102,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _limit(beats: sg.Beats, limit: int | None, rng) -> sg.Beats:
-    """A seeded random subset of at most `limit` beats; all when limit is None."""
-    if limit is None:
-        return beats
-    return beats[rng.permutation(len(beats))[:limit]]
-
-
 def _load_split(args: argparse.Namespace) -> sg.DatasetSplit:
     out_dir = Path(args.output_dir)
     train_path, test_path = out_dir / "train.ecgb", out_dir / "test.ecgb"
     for p in (train_path, test_path):
         if not p.exists():
             raise EcgresError(f"dataset file {p} not found; run preprocess first")
-    rng = np.random.default_rng(args.seed)
-    train = _limit(sg.load_segments(train_path), args.limit, rng)
-    test = _limit(sg.load_segments(test_path), args.limit, rng)
+    train, test = sg.load_segments(train_path), sg.load_segments(test_path)
     for p, beats in ((train_path, train), (test_path, test)):
         if not beats:
             raise EcgresError(f"dataset file {p} holds no beats to use")
@@ -146,8 +137,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = md.load_checkpoint(args.checkpoint)
-    beats = _limit(sg.load_segments(args.dataset), args.limit, np.random.default_rng(args.seed))
-    x, y = sg.segments_to_arrays(beats)
+    x, y = sg.segments_to_arrays(sg.load_segments(args.dataset))
     pred, _ = md.predict_batch(model, x)
     cm = me.confusion(y, pred)
     report = me.compute_metrics(cm)
@@ -207,12 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", "train the CNN on a preprocessed dataset", "--output-dir", "--seed")
     p.add_argument("--epochs", type=int, default=md.TrainConfig.epochs)
     p.add_argument("--eval-each-epoch", action="store_true")
-    p.add_argument("--limit", type=int, help="subsample each set for smoke runs")
 
-    p = add("evaluate", "evaluate a checkpoint on a dataset file", "--output-dir", "--seed")
+    p = add("evaluate", "evaluate a checkpoint on a dataset file", "--output-dir")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--limit", type=int)
 
     p = add("predict", "classify one annotated beat from a record", "--data-dir")
     p.add_argument("--checkpoint", required=True)

@@ -229,7 +229,7 @@ def test_criterion_5_headline_full_protocol():
 
 
 def test_criterion_5_smoke_variant(synth_segments):
-    # --limit 3000 --epochs 50 must clear 90% accuracy in well under 10 min;
+    # --per-set-size 3000 --epochs 50 must clear 90% accuracy in well under 10 min;
     # runs on the real database when present, the synthetic one otherwise
     if MITDB_DIR:
         split, source = _split_for_headline(per_set_size=3000)
@@ -264,12 +264,11 @@ def test_criterion_7_determinism(synth_db_small, tmp_path):
     for run_dir in ("r1", "r2"):
         out = tmp_path / run_dir
         assert cli.main(["preprocess", "--data-dir", str(synth_db_small),
-                         "--output-dir", str(out), "--seed", "9"]) == 0
-        assert cli.main(["train", "--output-dir", str(out), "--seed", "9",
-                         "--epochs", "2", "--limit", "400"]) == 0
+                         "--output-dir", str(out), "--seed", "9", "--per-set-size", "300"]) == 0
+        assert cli.main(["train", "--output-dir", str(out), "--seed", "9", "--epochs", "2"]) == 0
         assert cli.main(["evaluate", "--checkpoint", str(out / "checkpoint.ecgm"),
                          "--dataset", str(out / "test.ecgb"),
-                         "--output-dir", str(out / "metrics"), "--seed", "9"]) == 0
+                         "--output-dir", str(out / "metrics")]) == 0
         metric_bytes.append((out / "metrics" / "metrics.json").read_bytes())
     assert metric_bytes[0] == metric_bytes[1]
     report("7 determinism", "(identical metrics.json across seeded runs)")

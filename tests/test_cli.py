@@ -35,12 +35,13 @@ def preprocessed(synth_db_small, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trained(preprocessed):
-    rc = run([
-        "train", "--output-dir", preprocessed, "--seed", 5, "--epochs", 3, "--limit", 300,
-    ])
-    assert rc == 0
-    return preprocessed
+def trained(synth_db_small, tmp_path_factory):
+    """Sets of 300 beats each from `preprocess --per-set-size`, and a 3-epoch checkpoint."""
+    out = tmp_path_factory.mktemp("trained")
+    assert run(["preprocess", "--data-dir", synth_db_small, "--output-dir", out, "--seed", 5,
+                "--per-set-size", 300]) == 0
+    assert run(["train", "--output-dir", out, "--seed", 5, "--epochs", 3]) == 0
+    return out
 
 
 class TestIngest:
@@ -212,22 +213,19 @@ class TestTrain:
         for name in ("train.ecgb", "test.ecgb"):
             shutil.copy(preprocessed / name, tmp_path / name)
         sg.save_segments(sg.Beats.concat([]), tmp_path / empty)
-        rc = run(["train", "--output-dir", tmp_path, "--epochs", 1, "--limit", 200])
+        rc = run(["train", "--output-dir", tmp_path, "--epochs", 1])
         assert rc == 3
         assert not (tmp_path / "checkpoint.ecgm").exists()
         assert not (tmp_path / "curves.csv").exists()
 
-    def test_trains_with_the_papers_protocol(self, preprocessed, tmp_path):
+    def test_trains_with_the_papers_protocol(self, trained, tmp_path):
         """`train` runs Adam at lr 0.001 in batches of 32: its checkpoint is
         byte-identical to `model.train` with those values on the same split."""
         for name in ("train.ecgb", "test.ecgb"):
-            shutil.copy(preprocessed / name, tmp_path / name)
-        assert run(["train", "--output-dir", tmp_path, "--epochs", 1, "--limit", 50,
-                    "--seed", 5]) == 0
-        rng = np.random.default_rng(5)
-        train, test = (sg.load_segments(tmp_path / name) for name in ("train.ecgb", "test.ecgb"))
-        split = sg.DatasetSplit(train[rng.permutation(len(train))[:50]],
-                                test[rng.permutation(len(test))[:50]], 5)
+            shutil.copy(trained / name, tmp_path / name)
+        assert run(["train", "--output-dir", tmp_path, "--epochs", 1, "--seed", 5]) == 0
+        split = sg.DatasetSplit(*(sg.load_segments(tmp_path / name)
+                                  for name in ("train.ecgb", "test.ecgb")), 5)
         model = md.build_model(md.ModelConfig(seed=5))
         md.train(model, split, md.TrainConfig(epochs=1, batch_size=32, learning_rate=0.001,
                                               shuffle_seed=5))
@@ -240,7 +238,7 @@ class TestEvaluate:
     def test_matches_training_report(self, trained, tmp_path, capsys):
         rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
                   "--dataset", trained / "test.ecgb",
-                  "--output-dir", tmp_path, "--seed", 5, "--limit", 300])
+                  "--output-dir", tmp_path])
         assert rc == 0
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert 0.0 <= doc["overall_accuracy"] <= 1.0
@@ -287,7 +285,7 @@ class TestEvaluate:
         model.fc2.params["b"][2] = value
         bad = tmp_path / "bad.ecgm"
         md.save_checkpoint(model, bad)
-        rc = run(["evaluate", "--checkpoint", bad, "--limit", 300,
+        rc = run(["evaluate", "--checkpoint", bad,
                   "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out"])
         assert rc == 5
         assert "fc2.b" in capsys.readouterr().err
@@ -329,7 +327,7 @@ class TestEvaluate:
             out = tmp_path / name
             assert run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
                         "--dataset", trained / "test.ecgb",
-                        "--output-dir", out, "--seed", 5]) == 0
+                        "--output-dir", out]) == 0
             outs.append((out / "metrics.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -362,11 +360,12 @@ class TestPredict:
                   "--annotation-index", 10**6])
         assert rc == 2
 
-    def test_probabilities_of_the_beat_preprocess_wrote(self, trained, synth_db_small, capsys):
+    def test_probabilities_of_the_beat_preprocess_wrote(self, trained, preprocessed,
+                                                        synth_db_small, capsys):
         """`predict` denoises and cuts its beat as `preprocess` did: it prints
         what `predict_batch` gives on that beat's `.ecgb` row."""
         model = md.load_checkpoint(trained / "checkpoint.ecgm")
-        written = sg.Beats.concat([sg.load_segments(trained / f)
+        written = sg.Beats.concat([sg.load_segments(preprocessed / f)
                                    for f in ("train.ecgb", "test.ecgb")])
         centers = wf.select_dataset([wf.load_record(synth_db_small, "100")]).centers
         for index in (1, 17, 42):
@@ -384,7 +383,7 @@ class TestPredict:
 # The shared flags each subcommand reads, and so accepts (README "CLI").
 SHARED_FLAGS = {"ingest": ("--data-dir", "--output-dir"),
                 "preprocess": ("--data-dir", "--output-dir", "--seed"),
-                "train": ("--output-dir", "--seed"), "evaluate": ("--output-dir", "--seed"),
+                "train": ("--output-dir", "--seed"), "evaluate": ("--output-dir",),
                 "predict": ("--data-dir",)}
 # The flags evaluate and predict require; the files they name are never read here.
 REQUIRED = {"evaluate": ["--checkpoint", "checkpoint.ecgm", "--dataset", "test.ecgb"],
@@ -433,13 +432,10 @@ class TestRejectedFlags:
 
     def train(self, work, argv=()):
         """Exit code of a one-epoch `train` in `work`, and the files left there."""
-        rc = run(["train", "--output-dir", work, "--limit", 50, *argv])
+        rc = run(["train", "--output-dir", work, *argv])
         return rc, sorted(p.name for p in work.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["--epochs", 0], ["--epochs", 1, "--limit", -1], ["--epochs", 1, "--limit", 0],
-        ["--epochs", 1, "--seed", -1],
-    ])
+    @pytest.mark.parametrize("argv", [["--epochs", 0], ["--epochs", 1, "--seed", -1]])
     def test_count_below_one_exit_2(self, work, argv):
         assert self.train(work, argv) == (2, ["test.ecgb", "train.ecgb"])
 
@@ -490,12 +486,25 @@ class TestRejectedFlags:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
-    def test_evaluate_limit_below_one_exit_2(self, trained, tmp_path):
-        rc = run(["evaluate", "--checkpoint", trained / "checkpoint.ecgm",
-                  "--dataset", trained / "test.ecgb", "--output-dir", tmp_path / "out",
-                  "--limit", -1])
-        assert rc == 2
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_beats_are_chosen_only_in_preprocess_exit_2(self, trained, tmp_path, capsys,
+                                                        command):
+        """`preprocess --per-set-size` fixes a run's beats: `train` and
+        `evaluate` draw no subset, so `--limit` is an unrecognized argument
+        and nothing is written (`evaluate --seed`, which seeded that draw,
+        is in `SHARED_FLAGS`' test)."""
+        for name in ("train.ecgb", "test.ecgb", "checkpoint.ecgm"):
+            shutil.copy(trained / name, tmp_path / name)
+        argv = {"train": ["--output-dir", tmp_path, "--epochs", 1],
+                "evaluate": ["--checkpoint", tmp_path / "checkpoint.ecgm",
+                             "--dataset", tmp_path / "test.ecgb",
+                             "--output-dir", tmp_path / "out"]}[command]
+        with pytest.raises(SystemExit) as exit_:
+            run([command, *argv, "--limit", 50])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --limit 50" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.ecgm", "test.ecgb",
+                                                             "train.ecgb"]
 
     @pytest.mark.parametrize("command", ["ingest", "preprocess", "train", "evaluate", "predict"])
     def test_config_file_is_not_a_setting_exit_2(self, synth_db_small, tmp_path, capsys,
@@ -531,7 +540,7 @@ def test_sample_outside_unit_range_exit_2_names_the_file(trained, tmp_path, caps
                               beats.annotation_index), tmp_path / name)
     argv = {"evaluate": ["--checkpoint", trained / "checkpoint.ecgm",
                          "--dataset", tmp_path / name, "--output-dir", tmp_path / "out"],
-            "train": ["--output-dir", tmp_path, "--epochs", 1, "--limit", 200]}[command]
+            "train": ["--output-dir", tmp_path, "--epochs", 1]}[command]
     assert run([command, *argv]) == 2
     assert f"{tmp_path / name}: segment 3 has a sample outside [-1, 1]" in capsys.readouterr().err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["test.ecgb", "train.ecgb"]
@@ -580,18 +589,35 @@ def test_every_error_class_has_a_pinned_exit_code():
             if isinstance(c, type) and issubclass(c, errors.EcgresError)} == pinned - {OSError}
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_documented(text, values=None):
+    """Parse every `ecgres ...` line of shell text, with `\\` continuations
+    joined, each shell variable replaced by its entry in `values` and comments
+    dropped; return the subcommands in order."""
+    text = text.replace("\\\n", " ")
+    commands = []
+    for ln in text.splitlines():
+        if ln.startswith("ecgres "):
+            ln = re.sub(r"\$\{?(\w+)\}?", lambda m: values[m.group(1)], ln)
+            commands.append(parse(shlex.split(ln, comments=True)[1:]).command)
+    return commands
+
+
 def test_full_protocol_script_flags_parse():
     """Every `ecgres ...` line of the protocol script is valid CLI input."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_protocol.sh"
-    text = script.read_text().replace("\\\n", " ")
+    text = (ROOT / "scripts" / "run_full_protocol.sh").read_text()
     values = {"MITDB_DIR": "/data/mitdb", "OUT": "runs/full"}
-    commands = [ln.split(None, 1)[1] for ln in text.splitlines()
-                if ln.startswith("ecgres ")]
-    assert len(commands) == 3
-    for cmd in commands:
-        cmd = re.sub(r"\$\{?(\w+)\}?", lambda m: values[m.group(1)], cmd)
-        args = cli.build_parser().parse_args(shlex.split(cmd))
-        assert args.command in ("preprocess", "train", "evaluate")
+    assert parse_documented(text, values) == ["preprocess", "train", "evaluate"]
+
+
+def test_readme_commands_parse():
+    """Every `ecgres ...` line of the README's sh blocks is valid CLI input,
+    so a flag the CLI drops cannot linger in the documented commands."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert parse_documented("".join(blocks)) == ["ingest", "preprocess", "train", "evaluate",
+                                                 "predict"]
 
 
 # The exit codes a corrupted file of each kind may end in (cli's module
@@ -607,8 +633,9 @@ def pristine(tmp_path_factory):
     one-epoch checkpoint, made once for every corruption below."""
     root = tmp_path_factory.mktemp("pristine")
     synthetic.make_database(root, duration_s=60, seed=11, records=["100"])
-    assert run(["preprocess", "--data-dir", root, "--output-dir", root]) == 0
-    assert run(["train", "--output-dir", root, "--epochs", 1, "--limit", 32]) == 0
+    assert run(["preprocess", "--data-dir", root, "--output-dir", root,
+                "--per-set-size", 32]) == 0
+    assert run(["train", "--output-dir", root, "--epochs", 1]) == 0
     return {p.name: p.read_bytes() for p in root.iterdir() if p.suffix != ".csv"}
 
 
@@ -650,9 +677,9 @@ def test_corrupted_input_ends_in_a_documented_exit_code(pristine, data):
             commands = [["ingest", *db, *out], ["preprocess", *db, *out, *seed], predict]
         else:
             dataset = work / (name if name.endswith(".ecgb") else "test.ecgb")
-            commands = [["evaluate", *out, *seed, "--checkpoint", work / "checkpoint.ecgm",
+            commands = [["evaluate", *out, "--checkpoint", work / "checkpoint.ecgm",
                          "--dataset", dataset],
-                        ["train", "--output-dir", work, "--epochs", 1, "--limit", 32]]
+                        ["train", "--output-dir", work, "--epochs", 1]]
         for argv in commands:
             assert run(argv) in CORRUPTION_EXIT_CODES[Path(name).suffix], argv[0]
 
