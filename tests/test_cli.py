@@ -435,7 +435,11 @@ class TestRejectedFlags:
         rc = run(["train", "--output-dir", work, *argv])
         return rc, sorted(p.name for p in work.iterdir())
 
-    @pytest.mark.parametrize("argv", [["--epochs", 0], ["--epochs", 1, "--seed", -1]])
+    # The ids keep the names these cases had when the --limit cases sat between them.
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--epochs", 0], id="argv0"),
+        pytest.param(["--epochs", 1, "--seed", -1], id="argv3"),
+    ])
     def test_count_below_one_exit_2(self, work, argv):
         assert self.train(work, argv) == (2, ["test.ecgb", "train.ecgb"])
 
