@@ -96,7 +96,10 @@ class Model:
     """Parameter container: one ordered layer list is the whole architecture.
 
     Each layer is also an attribute (`conv1` ... `fc2`) whose name prefixes
-    its tensor names in `params()`, `grads()` and checkpoints.
+    its tensor names in `params()` and checkpoints. Each `params[k]` is a
+    view of one float32 vector `theta`, in `params()` order, which Adam
+    updates and `load_checkpoint` fills. Rebinding a `params[k]` detaches it
+    from training, as the finite-difference tests do (forward and backward only).
     """
 
     def __init__(self, config: ModelConfig):
@@ -135,19 +138,25 @@ class Model:
             named("relu4", nn.ReLU()),
             named("fc2", nn.Dense(hidden, classes, rng)),
         ]
-
-    def _tensors(self, kind: str) -> dict[str, np.ndarray]:
-        return {
-            f"{lname}.{pname}": arr
-            for lname, layer in self._named.items()
-            for pname, arr in getattr(layer, kind).items()
-        }
+        self.theta = np.concatenate([p.ravel() for p in self.params().values()])
+        self._gradient = np.empty(self.theta.size)
+        views = iter(np.split(self.theta, np.cumsum([p.size for p in self.params().values()])))
+        for layer in self._named.values():
+            layer.params = {k: next(views).reshape(p.shape) for k, p in layer.params.items()}
 
     def params(self) -> dict[str, np.ndarray]:
-        return self._tensors("params")
+        return {f"{lname}.{pname}": arr for lname, layer in self._named.items()
+                for pname, arr in layer.params.items()}
 
-    def grads(self) -> dict[str, np.ndarray]:
-        return self._tensors("grads")
+    def gradient(self) -> np.ndarray:
+        """The last backward's gradients in `params()` order, in one float64
+        vector that the model keeps and the next call writes over."""
+        grads = [layer.grads[k] for layer in self._named.values() for k in layer.params]
+        np.concatenate([g.ravel() for g in grads], out=self._gradient)
+        if not np.all(np.isfinite(self._gradient)):
+            for name, g in zip(self.params(), grads):
+                nn.check_finite(g, f"gradient of {name}")
+        return self._gradient
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
         """Logits; `cache=False` keeps nothing for `backward`. `x` is never
@@ -189,7 +198,7 @@ def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
           verbose: bool = False) -> TrainLog:
     x_train, y_train = segments_to_arrays(split.train)
     x_test, y_test = (segments_to_arrays(split.test) if split.test else (None, None))
-    opt = nn.Adam(lr=tc.learning_rate)
+    opt = nn.Adam(model.theta, lr=tc.learning_rate)
     rng = np.random.default_rng(tc.shuffle_seed)
     log = TrainLog()
     n = len(x_train)
@@ -207,7 +216,7 @@ def train(model: Model, split: DatasetSplit, tc: TrainConfig = TrainConfig(),
                 if not np.isfinite(loss):
                     raise NumericError("non-finite loss")
                 model.backward(grad)
-                opt.step(model.params(), model.grads())
+                opt.step(model.gradient())
             except NumericError as e:
                 raise NumericError(
                     f"epoch {epoch}, batch {start // tc.batch_size}: {e}"

@@ -16,8 +16,9 @@ Caching is per call: `forward(x)` keeps what the next `backward` needs,
 while `forward(x, cache=False)` computes the same output, keeps no backward
 state and drops what an earlier call kept, so inference holds no
 activations beyond the one in flight. Parameter gradients land in the
-layer's `grads` dict. No autodiff graph: a model is an ordered layer list,
-run forward in order and backward in reverse.
+layer's `grads` dict. A model's `params` are views of its vector `theta`,
+and rebinding one detaches it from training. No autodiff graph: a model is
+an ordered layer list, run forward in order and backward in reverse.
 
 An uncached forward keeps nothing, no layer reads in `forward` what it
 stores for `backward`, and `nn` keeps no state outside its objects, so
@@ -302,38 +303,28 @@ def residual_add(main: np.ndarray, shortcut: np.ndarray) -> np.ndarray:
 
 
 class Adam:
-    """Bias-corrected Adam over a flat dict of parameter arrays.
-
-    The moments of all tensors live in one float64 vector, in the order of
-    `params`, and the update runs once over the concatenated gradients.
-    """
+    """Bias-corrected Adam on one parameter vector, updated in place, with
+    its moments and temporaries allocated once."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults; only lr is set
 
-    def __init__(self, lr=0.001):
-        self.lr = lr
-        self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
+    def __init__(self, params: np.ndarray, lr=0.001):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m, self.v = np.zeros(params.size), np.zeros(params.size)
+        self._num, self._den = np.empty(params.size), np.empty(params.size)
+        self._update = np.empty_like(params)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def step(self, g: np.ndarray) -> None:
+        """One update from `g`, the gradient vector in the parameters' order."""
         self.t += 1
-        g = np.concatenate([grads[name].ravel() for name in params])
-        if not np.all(np.isfinite(g)):
-            for name in params:
-                check_finite(grads[name], f"gradient of {name}")
-        if self.m is None:
-            self.m = np.zeros(g.size, dtype=np.float64)
-            self.v = np.zeros(g.size, dtype=np.float64)
-        m, v = self.m, self.v
+        m, v, num, den = self.m, self.v, self._num, self._den
         m *= self.beta1
-        m += (1 - self.beta1) * g
+        m += np.multiply(1 - self.beta1, g, out=num)
         v *= self.beta2
-        v += (1 - self.beta2) * np.square(g, dtype=np.float64)
-        mhat = m / (1 - self.beta1 ** self.t)
-        vhat = v / (1 - self.beta2 ** self.t)
-        update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        start = 0
-        for p in params.values():
-            p -= update[start : start + p.size].reshape(p.shape).astype(p.dtype)
-            start += p.size
+        v += np.multiply(1 - self.beta2, np.square(g, out=den, dtype=np.float64), out=den)
+        np.divide(m, 1 - self.beta1 ** self.t, out=num)
+        num *= self.lr
+        np.sqrt(np.divide(v, 1 - self.beta2 ** self.t, out=den), out=den)
+        den += self.eps
+        # lr * mhat / (sqrt(vhat) + eps), cast to the parameters' dtype first
+        self.params -= np.divide(num, den, out=self._update)

@@ -149,7 +149,8 @@ class TestEndToEndGradient:
         logits = m.forward(x)
         _, _, grad = nn.softmax_cross_entropy(logits, labels)
         m.backward(grad)
-        analytic = {k: v.copy() for k, v in m.grads().items()}
+        analytic = {f"{lname}.{k}": g.copy() for lname, layer in m._named.items()
+                    for k, g in layer.grads.items()}
 
         params = m.params()
         rng2 = np.random.default_rng(7)
@@ -170,6 +171,60 @@ class TestEndToEndGradient:
                 an = analytic[name].reshape(-1)[idx]
                 denom = max(abs(fd), abs(an), 1e-4)
                 assert abs(fd - an) / denom < 1e-3, (name, idx, fd, an)
+
+
+class TestParameterVector:
+    """Every parameter tensor is a view of the model's one vector `theta`,
+    which Adam updates, and `Model.gradient()` gathers the gradients in the
+    same order."""
+
+    def test_params_are_views_of_theta(self, small_model, tmp_path):
+        path = tmp_path / "m.ecgm"
+        md.save_checkpoint(small_model, path)
+        for model in (small_model, md.load_checkpoint(path)):
+            assert model.theta.dtype == np.float32
+            assert model.theta.size == sum(p.size for p in model.params().values())
+            for name, p in model.params().items():
+                assert np.shares_memory(p, model.theta), name
+
+    def test_loaded_checkpoint_trains_like_the_saved_model(self, tmp_path):
+        # a loader that rebinds tensors instead of writing into them would
+        # leave theta, which Adam updates, apart from what forward reads
+        segs = [make_segment(label=BeatClass(i % 5), ann=i, seed=i) for i in range(40)]
+        split = sg.DatasetSplit(segs, [], 0)
+        tc = md.TrainConfig(epochs=1, shuffle_seed=3)
+        saved = md.build_model(md.ModelConfig(seed=2))
+        md.train(saved, split, tc)
+        md.save_checkpoint(saved, tmp_path / "m.ecgm")
+        loaded = md.load_checkpoint(tmp_path / "m.ecgm")
+        for model in (saved, loaded):
+            md.train(model, split, tc)
+        assert loaded.theta.tobytes() == saved.theta.tobytes()
+        for name, p in saved.params().items():
+            assert loaded.params()[name].tobytes() == p.tobytes(), name
+
+    def test_gradient_in_params_order(self, small_model):
+        x = np.random.default_rng(3).standard_normal((4, 1, 180))
+        _, _, grad = nn.softmax_cross_entropy(small_model.forward(x), np.arange(4))
+        small_model.backward(grad)
+        g = small_model.gradient()
+        assert g.dtype == np.float64 and g is small_model.gradient()
+        grads = {f"{lname}.{k}": v for lname, layer in small_model._named.items()
+                 for k, v in layer.grads.items()}
+        want = np.concatenate([grads[name].ravel() for name in small_model.params()])
+        assert g.tobytes() == want.tobytes()
+
+    def test_non_finite_gradient_named(self, small_model):
+        x = np.random.default_rng(4).standard_normal((2, 1, 180))
+        _, _, grad = nn.softmax_cross_entropy(small_model.forward(x), np.array([0, 3]))
+        small_model.backward(grad)
+        small_model.fc1.grads["b"][5] = np.nan
+        with pytest.raises(NumericError, match="^non-finite values in gradient of fc1.b$"):
+            small_model.gradient()
+        # with several, the first in params() order is named
+        small_model.res_conv2.grads["w"][0, 0, 0] = np.inf
+        with pytest.raises(NumericError, match="gradient of res_conv2.w$"):
+            small_model.gradient()
 
 
 class TestTrain:
