@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full experimental protocol on the real database: 13200 beats per set,
 # 300 epochs of Adam at lr 0.001, batch 32 (the protocol `ecgres train` always
-# runs). Training takes about 4 1/4 minutes on a 2-core Xeon (13,200 x 300
-# beats at the ~15,560-15,910 beats/s that `perfbench/run.py --workload train`
-# measures there, BENCH_22.json quartiles).
+# runs). Training takes about 3 1/2 minutes on a 2-core Xeon (13,200 x 300
+# beats at the ~18,530-18,880 beats/s that `perfbench/run.py --workload train`
+# measures there, BENCH_32.json quartiles).
 #
 #   MITDB_DIR=/path/to/mitdb ./scripts/run_full_protocol.sh [output_dir]
 set -eu

@@ -144,9 +144,8 @@ class Conv1d(Layer):
         # sums over (position, batch), the layout's order; the batch-major
         # order would cost two transposed copies per call
         self.grads["w"] = (g2 @ self._cols.T).reshape(w.shape)
-        # numpy orders a sum's additions by the memory layout; summed in C
-        # order, the bias gradient keeps the bytes of the batch-major layout
-        self.grads["b"] = np.ascontiguousarray(gy).sum(axis=(0, 2))
+        # the bias gradient too sums over (position, batch), the layout's order
+        self.grads["b"] = g2.sum(axis=1)
         # col2im: the index is im2col of the input positions, so bincount adds
         # each position's taps in tap order; the entries that read padding
         # land in the extra last bin, which is dropped

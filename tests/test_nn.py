@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -244,6 +246,24 @@ class TestConv1d:
                 assert rel_error(layer.grads[name],
                                  fd_gradient(loss_p, layer.params[name])) < 1e-4
 
+    def test_backward_copies_no_incoming_gradient(self):
+        """conv1's backward (1 -> 18 channels, k3 s2 p1, length 180, batch
+        32) on a batch-innermost gradient, as the model passes it: once the
+        first call has built the col2im index, Python-traced allocations
+        peak below the gradient's own bytes, so no copy of it is made."""
+        layer = nn.Conv1d(1, 18, 3, 2, 1, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(12)
+        layer.forward(rng.standard_normal((32, 1, 180)))
+        gy = rng.standard_normal((18, 90, 32)).transpose(2, 0, 1)
+        layer.backward(gy)
+        tracemalloc.start()
+        try:
+            layer.backward(gy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gy.nbytes, f"peak {peak} B against the gradient's {gy.nbytes} B"
+
 
 class TestReLU:
     def test_values(self):
@@ -362,8 +382,8 @@ class TestMaxPool:
 class TestPadFreeLowering:
     """Conv1d and MaxPool1d match the padded lowering they replaced
     (conv1d_padded, maxpool_padded), cached or not, including taps that read
-    only padding and short ceil-mode tails: the pool, the im2col matrix
-    (transposed) and the bias gradient byte for byte, the conv products
+    only padding and short ceil-mode tails: the pool and the im2col matrix
+    (transposed) byte for byte, the conv products and the bias gradient
     within 1e-12."""
 
     @given(st.data())
@@ -390,7 +410,11 @@ class TestPadFreeLowering:
         assert layer._cols.tobytes() == np.ascontiguousarray(want_cols).tobytes()
         gx = layer.backward(gy)
         assert gx.shape == x.shape
-        assert layer.grads["b"].tobytes() == gb.tobytes()
+        # the bias gradient sums each output channel's (position, batch) row,
+        # the layout's order; the padded lowering summed in batch-major order
+        gb_rows = np.ascontiguousarray(gy.transpose(1, 2, 0)).reshape(out_ch, -1)
+        assert layer.grads["b"].tobytes() == gb_rows.sum(axis=1).tobytes()
+        assert np.allclose(layer.grads["b"], gb, rtol=1e-12, atol=1e-12)
         # the products now run on the transposed im2col matrix (W @ cols, not
         # cols @ W.T), which the BLAS may round differently for some shapes
         assert np.allclose(y, y_want, rtol=1e-12, atol=1e-12)
