@@ -5,16 +5,19 @@ the transforms `dwt_forward` and `remove_baseline` take a size.
 
 The wavelet transform is the orthogonal Daubechies-4 (8-tap) filter bank with
 periodized boundaries, run in polyphase form. Analysis coefficient i of a
-stage x of length N is sum over taps m of h[m] * x[(m + 2i) % N]: tap m reads
-every other sample of x as a strided slice. Only the last 3 coefficients wrap
-around the end, so only the pass or passes holding them read a gathered copy
-of their samples plus the 6 wrapped ones. Synthesis adds h[m] * a + g[m] * d,
-delayed by m // 2, into the even (m even) or odd (m odd) output phase, and
-interleaves the two phases; only the first pass reads a copy of its a and d
-with 3 wrapped samples in front. Odd-length stages are handled pywt-style:
-the last sample is repeated to make the stage even, and the inverse
-truncates back, so perfect reconstruction holds for every length; exact
-energy conservation additionally requires each stage length to be even.
+stage x of length N is sum over taps m of h[m] * x[(m + 2i) % N]. Each pass
+copies its window of x once into two contiguous phase rows, the even and the
+odd samples, so that tap m reads both filters' input as one contiguous slice
+of row m % 2 from offset m // 2. Only the last 3
+coefficients wrap around the end, so only the pass or passes holding them
+fill the rows from a gathered copy of their samples plus the 6 wrapped ones.
+Synthesis adds h[m] * a + g[m] * d, delayed by m // 2, into the even (m
+even) or odd (m odd) output phase, and interleaves the two phases; only a
+pass that starts before coefficient 3 reads a copy of a and d with 3 wrapped
+samples in front. Odd-length stages are handled pywt-style: the last sample
+is repeated to make the stage even, and the inverse truncates back, so
+perfect reconstruction holds for every length; exact energy conservation
+additionally requires each stage length to be even.
 
 Both steps run in passes of BLOCK coefficients. Each tap's product goes into
 one scratch buffer of a pass and is added into that pass's slice of the
@@ -74,17 +77,21 @@ def _analysis_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = -(-n // 2)
     a = np.zeros(half)
     d = np.zeros(half)
+    phases = np.empty((2, min(half, BLOCK) + 3))
     t = np.empty(min(half, BLOCK))
     for i0 in range(0, half, BLOCK):
         i1 = min(i0 + BLOCK, half)
+        w = i1 - i0
         if 2 * i1 + 6 <= n:  # every tap of the pass reads inside the stage
             src, lo = x, 2 * i0
         else:  # src[k] = x[(2 * i0 + k) % (2 * half)], x[n] = x[n - 1] for odd n
             k = np.arange(2 * i0, 2 * i1 + 6) % (2 * half)
             src, lo = x[np.minimum(k, n - 1)], 0
-        ab, db, tb = a[i0:i1], d[i0:i1], t[: i1 - i0]
+        phases[0, : w + 3] = src[lo : lo + 2 * w + 6 : 2]  # even samples of the window
+        phases[1, : w + 3] = src[lo + 1 : lo + 2 * w + 6 : 2]  # odd samples
+        ab, db, tb = a[i0:i1], d[i0:i1], t[:w]
         for m in range(8):
-            xm = src[lo + m : lo + m + 2 * (i1 - i0) : 2]  # x[(m + 2i) % (2 * half)]
+            xm = phases[m % 2, m // 2 : m // 2 + w]  # x[(m + 2i) % (2 * half)]
             ab += np.multiply(DB4_H[m], xm, out=tb)
             db += np.multiply(DB4_G[m], xm, out=tb)
     return a, d
@@ -98,12 +105,12 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, out_length: int) -> np.ndarray
     rows = np.empty((4, min(n, BLOCK)))
     for j0 in range(0, n, BLOCK):
         j1 = min(j0 + BLOCK, n)
-        if j0:  # ae[j + 3 - s] = a[j - s] for shifts s <= 3
+        if j0 >= 3:  # ae[j + 3 - s] = a[j - s] for shifts s <= 3
             ae, de, lo = a, d, j0 - 3
         else:  # 3 wrapped samples in front: ae[j + 3 - s] = a[(j - s) % n]
             ae = np.concatenate([a.take(range(-3, 0), mode="wrap"), a[:j1]])
             de = np.concatenate([d.take(range(-3, 0), mode="wrap"), d[:j1]])
-            lo = 0
+            lo = j0
         phases, (t, u) = rows[:2, : j1 - j0], rows[2:, : j1 - j0]
         phases.fill(0.0)
         for m in range(8):

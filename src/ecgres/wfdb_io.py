@@ -43,7 +43,7 @@ ANNOTATION_SYMBOLS = {
 _SYMBOL_TO_CODE = {symbol: code for code, symbol in ANNOTATION_SYMBOLS.items()}
 
 # Pseudo-annotation codes: consumed while parsing, never emitted.
-_SKIP, _NUM, _SUB, _CHN, _AUX = 59, 60, 61, 62, 63
+_SKIP, _AUX = 59, 63  # 60-62 are NUM, SUB and CHN, one word each
 
 
 class BeatClass(IntEnum):
@@ -227,50 +227,45 @@ def parse_annotations(data: bytes, num_samples: int | None = None
     Words are 2-byte little-endian; top 6 bits are the type code, bottom 10
     the sample-index increment. SKIP/NUM/SUB/CHN/AUX pseudo-annotations are
     consumed without being emitted. The stream ends with a zero word.
+    Python walks only the zero and pseudo-annotation (code >= 59) words.
     """
-    samples: list[int] = []
-    codes: list[int] = []
-    pos = 0
-    sample = 0
-    pending_skip = 0
-    terminated = False
-    while pos + 2 <= len(data):
-        word = data[pos] | (data[pos + 1] << 8)
-        pos += 2
-        code = word >> 10
-        interval = word & 0x3FF
-        if word == 0:
-            terminated = True
+    # every word starts at an even offset: a SKIP's value is 4 bytes, and an
+    # AUX's string is padded to even
+    words = np.frombuffer(data, dtype="<u2", count=len(data) // 2)
+    delta = (words & 0x3FF).astype(np.int64)  # a SKIP's word carries its value
+    emitted = np.ones(len(words), dtype=bool)
+    end, error, pos = len(words), "annotation stream missing zero terminator", 0
+    for i in np.flatnonzero((words == 0) | (words >= _SKIP << 10)).tolist():
+        if i < pos:
+            continue  # a word of an earlier SKIP's or AUX's payload
+        code, pos = int(words[i]) >> 10, i + 1
+        if code == 0:
+            end, error = i, None
             break
         if code == _SKIP:
-            if pos + 4 > len(data):
-                raise ParseError("truncated SKIP annotation")
-            high = data[pos] | (data[pos + 1] << 8)
-            low = data[pos + 2] | (data[pos + 3] << 8)
-            pos += 4
+            pos += 2
+        elif code == _AUX:  # aux strings are padded to even
+            pos += (int(delta[i]) + 1) // 2
+        if 2 * pos > len(data):
+            end = i
+            error = "truncated SKIP annotation" if code == _SKIP else "truncated AUX annotation"
+            break
+        delta[i:pos] = 0
+        emitted[i:pos] = False
+        if code == _SKIP:
+            high, low = words[i + 1 : pos].tolist()
             skip = (high << 16) | low
-            if skip >= 1 << 31:
-                skip -= 1 << 32
-            pending_skip += skip
-        elif code == _AUX:
-            n = interval + (interval & 1)  # aux strings are padded to even
-            if pos + n > len(data):
-                raise ParseError("truncated AUX annotation")
-            pos += n
-        elif code in (_NUM, _SUB, _CHN):
-            pass  # state modifiers for readers we do not need
-        else:
-            sample += interval + pending_skip
-            pending_skip = 0
-            if num_samples is not None and not (0 <= sample < num_samples):
-                raise ParseError(
-                    f"annotation at sample {sample} outside record of {num_samples} samples"
-                )
-            samples.append(sample)
-            codes.append(code)
-    if not terminated:
-        raise ParseError("annotation stream missing zero terminator")
-    return np.array(samples, dtype=np.int64), np.array(codes, dtype=np.uint8)
+            delta[i] = skip - (1 << 32) if skip >= 1 << 31 else skip
+    emitted = emitted[:end]
+    samples = np.cumsum(delta[:end])[emitted]
+    if num_samples is not None:
+        outside = (samples < 0) | (samples >= num_samples)
+        if outside.any():
+            raise ParseError(f"annotation at sample {samples[outside.argmax()]} "
+                             f"outside record of {num_samples} samples")
+    if error:
+        raise ParseError(error)
+    return samples, (words[:end][emitted] >> 10).astype(np.uint8)
 
 
 def encode_annotations(samples, symbols) -> bytes:

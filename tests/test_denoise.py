@@ -149,6 +149,13 @@ class TestPolyphaseSteps:
     def test_bit_equal_to_oracle_property(self, n, seed):
         assert_steps_match_oracles(n, seed)
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 8])
+    def test_bit_equal_to_oracle_at_small_passes(self, block, monkeypatch):
+        # every pass boundary, wrapped tail pass and phase-row slice of n <= 80
+        monkeypatch.setattr(dn, "BLOCK", block)
+        for n in range(1, 81):
+            assert_steps_match_oracles(n, n)
+
     def test_synthesis_length_mismatch(self):
         with pytest.raises(EcgresError, match="approx/detail length mismatch: 4 vs 5"):
             dn._synthesis_step(np.zeros(4), np.zeros(5), 8)

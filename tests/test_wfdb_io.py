@@ -338,6 +338,18 @@ class TestAnnotations:
         data = word(60, 1) + word(62, 1) + word(63, 4) + b"abcd" + word(2, 10) + b"\x00\x00"
         assert pairs(*wf.parse_annotations(data)) == [(10, "L")]
 
+    @pytest.mark.parametrize("data", [
+        # an AUX string whose words read as a zero word, a SKIP, an AUX and a NUM
+        word(63, 8) + b"\x00\x00" + word(59, 1) + word(63, 3) + word(60, 2)
+        + word(1, 10) + b"\x00\x00",
+        # a SKIP (value -4097) whose low payload word has code 59
+        b"\x00\xec\xff\xff\xff\xef\x00\x04\x00\x00",
+    ], ids=["aux-payload", "skip-payload"])
+    @pytest.mark.parametrize("num_samples", [None, 100])
+    def test_payload_words_that_look_like_control_words(self, data, num_samples):
+        want = outcome(oracle_parse_annotations, data, num_samples)
+        assert outcome(wf.parse_annotations, data, num_samples) == want
+
     def test_index_overflow_rejected(self):
         data = word(1, 500) + b"\x00\x00"
         with pytest.raises(ParseError, match="annotation at sample 500 outside record of 400"):
