@@ -26,19 +26,19 @@ whole stage (2.6 MB per array on a 650,000-sample record) streams every
 operand through main memory 8 times. Every coefficient still sums its taps
 in the order m = 0..7 onto 0.0, so the output does not depend on BLOCK.
 
-Working set. `denoise` soft-thresholds the details it has just decomposed in
-place (after `universal_threshold` has read level 1) and subtracts the
-baseline in place from the lead `dwt_inverse` returned; the caller's signal
-is never written, and `apply_threshold`, `threshold_details` and
-`remove_baseline` return new arrays. Besides buffers one pass long it holds,
-in lead sizes, the details (1) and the level-1 magnitudes (0.5), then the
-details, the level-1 approximation and the reconstruction (2.5, the peak),
-then the reconstruction and its cumulative sum (2).
+Working set. `threshold_details` and `remove_baseline` write over their
+argument, the details and the float64 lead, and return it; `denoise` hands
+them only arrays it made (the decomposition `dwt_forward` returned and the
+lead `dwt_inverse` returned), so the caller's signal is never written.
+Besides buffers one pass long it holds, in lead sizes, the details (1) and
+the level-1 magnitudes (0.5), then the details, the level-1 approximation
+and the reconstruction (2.5, the peak), then the reconstruction and its
+cumulative sum (2).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,22 +181,17 @@ def _shrink(c: np.ndarray, threshold: float) -> None:
         np.multiply(np.sign(cb, out=cb), mag, out=cb)
 
 
-def apply_threshold(coeffs: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft threshold: sign(c) * max(|c| - threshold, 0), as a new array."""
-    out = np.array(coeffs, dtype=np.float64)
-    _shrink(out, threshold)
-    return out
-
-
 def threshold_details(decomp: WaveletDecomposition) -> WaveletDecomposition:
-    """Soft-shrink all detail levels by the universal threshold; approx untouched."""
+    """Soft-shrink all detail levels in place by the universal threshold; approx untouched."""
     t = universal_threshold(decomp)
-    details = [apply_threshold(d, t) for d in decomp.details]
-    return replace(decomp, details=details)
+    for d in decomp.details:
+        _shrink(d, t)
+    return decomp
 
 
-def _subtract_baseline(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
-    """out = x minus its centered moving average; out may be x."""
+def remove_baseline(x: np.ndarray, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray:
+    """Subtract a centered moving average from float64 x in place and return x;
+    edge windows shrink symmetrically."""
     n = len(x)
     if window <= 0 or window % 2 == 0:
         raise ParseError(f"window must be a positive odd integer, got {window}")
@@ -211,25 +206,16 @@ def _subtract_baseline(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarra
         tb = np.subtract(csum[i0 + half + 1 : i1 + half + 1], csum[i0 - half : i1 - half],
                          out=t[: i1 - i0])
         tb /= window
-        np.subtract(x[i0:i1], tb, out=out[i0:i1])
+        x[i0:i1] -= tb
     edge = np.r_[:half, n - half : n]  # windows shrink to 2 * h + 1 samples
     h = np.minimum(edge, n - 1 - edge)
-    out[edge] = x[edge] - (csum[edge + h + 1] - csum[edge - h]) / (2 * h + 1)
-    return out
-
-
-def remove_baseline(signal, window: int = DEFAULT_BASELINE_WINDOW) -> np.ndarray:
-    """Subtract a centered moving average; edge windows shrink symmetrically."""
-    x = np.asarray(signal, dtype=np.float64)
-    return _subtract_baseline(x, window, np.empty(len(x)))
+    x[edge] -= (csum[edge + h + 1] - csum[edge - h]) / (2 * h + 1)
+    return x
 
 
 def denoise(signal) -> np.ndarray:
     """Full per-record cleanup: wavelet shrinkage, then baseline removal."""
-    decomp = dwt_forward(signal)
-    t = universal_threshold(decomp)
-    for d in decomp.details:
-        _shrink(d, t)
+    decomp = threshold_details(dwt_forward(signal))
     x = dwt_inverse(decomp)
     del decomp  # frees the details before the cumulative sum is allocated
-    return _subtract_baseline(x, DEFAULT_BASELINE_WINDOW, out=x)
+    return remove_baseline(x)

@@ -189,9 +189,10 @@ def decode_format212(data: bytes, num_samples: int) -> tuple[np.ndarray, np.ndar
     both sign-extended from 12 bits. Returns raw ADC counts (int16).
     """
     needed = -(-num_samples * 2 * 12 // 8)  # ceil
-    if len(data) < needed:
+    if len(data) != needed:
+        size = "short" if len(data) < needed else "long"
         raise ParseError(
-            f"format-212 file too short: need {needed} bytes for "
+            f"format-212 file too {size}: need {needed} bytes for "
             f"{num_samples} samples/channel, got {len(data)}"
         )
     groups = np.frombuffer(data, dtype=np.uint8, count=3 * num_samples).reshape(-1, 3)

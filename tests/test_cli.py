@@ -705,10 +705,13 @@ def _annotation_past_the_end(data: bytes) -> bytes:
     ("100.hea", _sample_count_zero, "line 1: non-positive sample count 0"),
     ("100.dat", lambda data: data[:100], "format-212 file too short: need 64800 bytes for "
                                          "21600 samples/channel, got 100"),
+    ("100.dat", lambda data: data + bytes(6), "format-212 file too long: need 64800 bytes for "
+                                              "21600 samples/channel, got 64806"),
     ("100.atr", lambda data: data[:-2], "annotation stream missing zero terminator"),
     ("100.atr", _annotation_past_the_end,
      "annotation at sample 21771 outside record of 21600 samples"),
-], ids=["hea-zero-samples", "dat-truncated", "atr-unterminated", "atr-past-the-end"])
+], ids=["hea-zero-samples", "dat-truncated", "dat-appended", "atr-unterminated",
+        "atr-past-the-end"])
 @pytest.mark.parametrize("command", ["ingest", "preprocess", "predict"])
 def test_reader_error_exit_2_names_the_file(pristine, tmp_path, capsys, command, name, damage,
                                             message):

@@ -182,8 +182,8 @@ class TestThreshold:
         decomp = dn.dwt_forward(np.full(256, 3.0), 8)
         decomp.details = [np.zeros_like(d) for d in decomp.details]
         out = dn.threshold_details(decomp)
-        for d_in, d_out in zip(decomp.details, out.details):
-            assert np.array_equal(d_in, d_out)
+        for d in out.details:
+            assert not d.any()
 
     def test_universal_threshold_formula(self):
         # median |d1| = 0.6745 -> sigma = 1 -> T = sqrt(2 ln 1024)
@@ -219,24 +219,26 @@ class TestThreshold:
         assert_threshold_equal_to_oracle(np.array(values))
 
     def test_soft_shrinkage_values(self):
-        assert dn.apply_threshold(np.array([5.0]), 3.0)[0] == pytest.approx(2.0)
-        assert dn.apply_threshold(np.array([-2.0]), 3.0)[0] == 0.0
-        assert dn.apply_threshold(np.array([-5.0]), 3.0)[0] == pytest.approx(-2.0)
+        c = np.array([5.0, -2.0, -5.0])
+        dn._shrink(c, 3.0)
+        assert c[0] == pytest.approx(2.0)
+        assert c[1] == 0.0
+        assert c[2] == pytest.approx(-2.0)
 
     def test_approx_untouched(self):
         x = np.random.default_rng(2).standard_normal(1024)
         decomp = dn.dwt_forward(x, 8)
+        approx = decomp.approx.copy()
         out = dn.threshold_details(decomp)
-        assert np.array_equal(out.approx, decomp.approx)
+        assert out.approx.tobytes() == approx.tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_soft_threshold_is_contraction(self, seed, t):
         c = np.random.default_rng(seed).standard_normal(64) * 5
         untouched = c.copy()
-        out = dn.apply_threshold(c, t)
-        assert c.tobytes() == untouched.tobytes()
-        assert np.all(np.abs(out) <= np.abs(untouched) + 1e-15)
+        dn._shrink(c, t)
+        assert np.all(np.abs(c) <= np.abs(untouched) + 1e-15)
 
 
 def remove_baseline_oracle(x, window):
@@ -285,7 +287,8 @@ class TestRemoveBaseline:
 
     def test_against_oracle(self):
         x = np.random.default_rng(3).standard_normal(400)
-        assert np.allclose(dn.remove_baseline(x, 51), moving_average_oracle(x, 51), atol=1e-10)
+        assert np.allclose(dn.remove_baseline(x.copy(), 51), moving_average_oracle(x, 51),
+                           atol=1e-10)
 
     @pytest.mark.parametrize("window", [1, 3, 251, "n"])
     def test_bit_equal_to_oracle(self, window):
@@ -294,12 +297,13 @@ class TestRemoveBaseline:
         for n in lengths:
             w = n if window == "n" else window
             x = rng.standard_normal(n)
-            assert dn.remove_baseline(x, w).tobytes() == remove_baseline_oracle(x, w).tobytes()
+            got = dn.remove_baseline(x.copy(), w)
+            assert got.tobytes() == remove_baseline_oracle(x, w).tobytes()
 
     def test_sine_plus_dc(self):
         t = np.arange(1000)
         x = np.sin(2 * np.pi * 0.05 * t) + 0.5
-        out = dn.remove_baseline(x, 251)
+        out = dn.remove_baseline(x.copy(), 251)
         assert np.allclose(out, moving_average_oracle(x, 251), atol=1e-10)
         # interior: DC offset removed within 0.02, sine survives up to the
         # moving average's own attenuation (~0.025 amplitude at this width)
@@ -349,7 +353,7 @@ class TestDenoise:
         # compare against the clean signal with its own baseline removed,
         # since denoise also strips the (zero) baseline
         out = dn.denoise(noisy)
-        ref = dn.remove_baseline(clean)
+        ref = dn.remove_baseline(clean.copy())
         snr_out = 10 * np.log10(np.mean(ref**2) / np.mean((out - ref) ** 2))
         assert snr_out > snr(noisy)
 
@@ -390,10 +394,39 @@ class TestDenoise:
         decomp = dn.dwt_forward(x)
         before = [a.tobytes() for a in (x, decomp.approx, *decomp.details)]
         dn.denoise(x)
-        dn.threshold_details(decomp)
-        dn.apply_threshold(decomp.details[0], 0.5)
-        dn.remove_baseline(x)
+        dn.dwt_forward(x)
+        dn.dwt_inverse(decomp)
         assert [a.tobytes() for a in (x, decomp.approx, *decomp.details)] == before
+
+    def test_in_place_steps_write_over_their_argument(self):
+        x = np.random.default_rng(10).standard_normal(4099) * 3
+        decomp = dn.dwt_forward(x)
+        details = decomp.details[:]
+        shrunk = [d.copy() for d in details]
+        t = dn.universal_threshold(decomp)
+        for d in shrunk:
+            dn._shrink(d, t)
+        assert dn.threshold_details(decomp) is decomp
+        assert all(a is b for a, b in zip(decomp.details, details))
+        assert [d.tobytes() for d in details] == [d.tobytes() for d in shrunk]
+        want = remove_baseline_oracle(x, dn.DEFAULT_BASELINE_WINDOW)
+        assert dn.remove_baseline(x) is x
+        assert x.tobytes() == want.tobytes()
+
+    def test_runs_its_four_steps_once_in_order(self, monkeypatch):
+        """`denoise` reaches each step through the module namespace, where a
+        tracer that patches the steps by name (perfbench's does) sees it."""
+        x = np.random.default_rng(12).standard_normal(4099)
+        want = dn.denoise(x).tobytes()
+        steps = ["dwt_forward", "threshold_details", "dwt_inverse", "remove_baseline"]
+        calls = []
+        for name in steps:
+            def spy(*args, _step=getattr(dn, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _step(*args, **kwargs)
+            monkeypatch.setattr(dn, name, spy)
+        assert dn.denoise(x).tobytes() == want
+        assert calls == steps
 
     def test_record_length_lead_peaks_under_three_lead_sizes(self):
         """A 650,000-sample lead (MIT-BIH's 30 min at 360 Hz) is denoised in

@@ -192,6 +192,13 @@ class TestFormat212:
         with pytest.raises(ParseError, match="format-212 file too short: need 3 bytes"):
             wf.decode_format212(b"\x00\x00", 1)
 
+    @pytest.mark.parametrize("extra", [1, 3, 6])
+    def test_appended_bytes_rejected(self, extra):
+        data = wf.encode_format212([1, 2], [3, 4]) + b"\x00" * extra
+        with pytest.raises(ParseError, match=f"format-212 file too long: need 6 bytes for "
+                                             f"2 samples/channel, got {6 + extra}$"):
+            wf.decode_format212(data, 2)
+
     def test_range(self):
         rng = np.random.default_rng(0)
         a = rng.integers(-2048, 2048, 500)
