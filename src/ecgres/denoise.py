@@ -171,14 +171,17 @@ def universal_threshold(decomp: WaveletDecomposition) -> float:
 
 
 def _shrink(c: np.ndarray, threshold: float) -> None:
-    """Soft-threshold c in place, in passes of BLOCK coefficients."""
+    """Soft-threshold c in place, in passes of BLOCK coefficients, as
+    copysign(max(|c| - threshold, 0), c). That is the product form sign(c) *
+    max(...) bit for bit except in the sign of a NaN output and of a -0.0
+    coefficient (the product makes it +0.0)."""
     t = np.empty(min(len(c), BLOCK))
     for i0 in range(0, len(c), BLOCK):
         cb = c[i0 : i0 + BLOCK]
         mag = np.abs(cb, out=t[: len(cb)])
         mag -= threshold
         np.maximum(mag, 0.0, out=mag)
-        np.multiply(np.sign(cb, out=cb), mag, out=cb)
+        np.copysign(mag, cb, out=cb)
 
 
 def threshold_details(decomp: WaveletDecomposition) -> WaveletDecomposition:
@@ -214,7 +217,10 @@ def remove_baseline(x: np.ndarray, window: int = DEFAULT_BASELINE_WINDOW) -> np.
 
 
 def denoise(signal) -> np.ndarray:
-    """Full per-record cleanup: wavelet shrinkage, then baseline removal."""
+    """Full per-record cleanup: wavelet shrinkage, then baseline removal.
+
+    The shrink gives the product form's bytes: `dwt_forward` sums each
+    coefficient onto +0.0, so no detail is -0.0."""
     decomp = threshold_details(dwt_forward(signal))
     x = dwt_inverse(decomp)
     del decomp  # frees the details before the cumulative sum is allocated

@@ -84,11 +84,15 @@ def cut_beats(channel: np.ndarray, centers) -> tuple[np.ndarray, np.ndarray]:
     """
     centers = np.asarray(centers, dtype=np.int64)
     kept = (centers >= HALF_WINDOW) & (centers + HALF_WINDOW <= len(channel))
-    offsets = np.arange(-SEGMENT_SAMPLES // 2, SEGMENT_SAMPLES // 2)
-    seg = np.asarray(channel, dtype=np.float64)[centers[kept, None] + offsets]
+    starts = centers[kept] - SEGMENT_SAMPLES // 2
+    seg = np.empty((0, SEGMENT_SAMPLES))
+    if len(starts):  # a channel shorter than 180 samples has no window to view
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.asarray(channel, dtype=np.float64), SEGMENT_SAMPLES)
+        seg = windows[starts]  # one row copy per kept beat
     lo, hi = seg.min(axis=1, keepdims=True), seg.max(axis=1, keepdims=True)
     flat = hi == lo
-    # 2 * (seg - lo) / (hi - lo) - 1, the same operations in place on the gather
+    # 2 * (seg - lo) / (hi - lo) - 1, the same operations in place on the copy
     seg -= lo
     seg *= 2.0
     seg /= np.where(flat, 1.0, hi - lo)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -183,6 +184,18 @@ class TestPreprocess:
                         "--output-dir", out, "--seed", 11]) == 0
         assert (a / "train.ecgb").read_bytes() == (b / "train.ecgb").read_bytes()
         assert (a / "test.ecgb").read_bytes() == (b / "test.ecgb").read_bytes()
+
+    @pytest.mark.parametrize("fixture, digests", [
+        ("preprocessed", ("3623fb1f3a8547832600fe3af3c8522017e25a45b80f7ba6eac4d4ef7f92a52b",
+                          "34f6a0710deff57d5bd5139edafce448b2f6f4ea01bb8accda1f4e6c9a6c93d6")),
+        ("trained", ("6216246549fac12dd08fb533f74ac7cb31c4161779019cb62249c55d62bec664",
+                     "d7e47eb863165dd33facec6012f32958f8707a921af5cc3ec4519d6cdb2ef483")),
+    ])
+    def test_pinned_digests(self, request, fixture, digests):
+        """The bytes of a seeded preprocess, whole and with --per-set-size 300."""
+        out = request.getfixturevalue(fixture)
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("train.ecgb", "test.ecgb")) == digests
 
     def test_output_dir_is_a_file_exit_2(self, synth_db_small, tmp_path):
         blocker = tmp_path / "blocker"

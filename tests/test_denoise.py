@@ -177,6 +177,81 @@ def assert_threshold_equal_to_oracle(d1):
     assert decomp.details[0].tobytes() == d1.tobytes()
 
 
+def shrink_oracle(c, threshold):
+    """The five-op product form `_shrink` replaced, kept as its reference:
+    c = sign(c) * max(|c| - threshold, 0) in place, in passes of BLOCK."""
+    t = np.empty(min(len(c), dn.BLOCK))
+    for i0 in range(0, len(c), dn.BLOCK):
+        cb = c[i0 : i0 + dn.BLOCK]
+        mag = np.abs(cb, out=t[: len(cb)])
+        mag -= threshold
+        np.maximum(mag, 0.0, out=mag)
+        np.multiply(np.sign(cb, out=cb), mag, out=cb)
+
+
+SIGN_BIT = np.uint64(1 << 63)
+
+
+def assert_shrink_equal_to_oracle(c, threshold):
+    """`_shrink` gives the oracle's bits, except that a -0.0 coefficient stays
+    -0.0 (the oracle gives +0.0) and a NaN output may carry either sign."""
+    got, want = c.copy(), c.copy()
+    with np.errstate(invalid="ignore"):
+        dn._shrink(got, threshold)
+        shrink_oracle(want, threshold)
+    g, w = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(g & ~SIGN_BIT, w & ~SIGN_BIT)
+    neg_zero = c.view(np.uint64) == SIGN_BIT
+    assert np.all(g[neg_zero] == SIGN_BIT) and not w[neg_zero].any()
+    same = ~(neg_zero | np.isnan(want))
+    assert np.array_equal(g[same], w[same])
+
+
+SHRINK_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                   math.inf, -math.inf, math.nan, -math.nan]
+
+
+class TestShrink:
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(SHRINK_SPECIALS)),
+                    min_size=1, max_size=64),
+           st.sampled_from([0, 1, dn.BLOCK - 1, dn.BLOCK, dn.BLOCK + 1]),
+           st.one_of(st.sampled_from([0.0, 1e-300, math.inf]),
+                     st.floats(1e-3, 1e3)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_product_form(self, values, n, threshold, seed):
+        c = np.random.default_rng(seed).choice(np.array(values), n)
+        assert_shrink_equal_to_oracle(c, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-300, 0.5, math.inf])
+    def test_every_special_at_every_pass_edge(self, threshold):
+        for n in (0, 1, dn.BLOCK - 1, dn.BLOCK, dn.BLOCK + 1):
+            assert_shrink_equal_to_oracle(np.resize(np.array(SHRINK_SPECIALS), n), threshold)
+
+    @given(st.integers(dn.DEFAULT_LEVELS, 12).map(lambda k: 2**k + 3),
+           st.lists(st.tuples(st.integers(0, 4099), st.integers(1, 600),
+                              st.sampled_from([0.0, -0.0])), max_size=4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_no_negative_zero_from_dwt_forward(self, n, stretches, seed):
+        """The analysis sums every coefficient onto +0.0, so no coefficient is
+        -0.0, even where the signal is all -0.0; the shrink of its details is
+        then the product form's bit for bit."""
+        x = np.random.default_rng(seed).standard_normal(n)
+        for start, length, zero in stretches:
+            x[start : start + length] = zero
+        for signal in (x, np.full(n, -0.0)):
+            decomp = dn.dwt_forward(signal)
+            for c in (decomp.approx, *decomp.details):
+                assert not np.any(np.signbit(c) & (c == 0))
+            t = dn.universal_threshold(decomp)
+            for d in decomp.details:
+                want = d.copy()
+                shrink_oracle(want, t)
+                dn._shrink(d, t)
+                assert d.tobytes() == want.tobytes()
+
+
 class TestThreshold:
     def test_all_zero_details_noop(self):
         decomp = dn.dwt_forward(np.full(256, 3.0), 8)

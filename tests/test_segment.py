@@ -289,21 +289,32 @@ class TestRescale:
         assert samples.max(axis=1) == pytest.approx(1.0, abs=1e-12)
 
 
+def assert_cut_equal_to_oracle(channel, centers):
+    samples, kept = sg.cut_beats(channel, centers)
+    want = [oracle_beat(channel, int(c)) for c in centers]
+    assert kept.tolist() == [w is not None for w in want]
+    want = np.array([w for w in want if w is not None], dtype=np.float32).reshape(-1, 180)
+    assert samples.shape == want.shape and samples.dtype == np.float32
+    assert samples.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+
 class TestCutBeats:
     @pytest.mark.parametrize("num_centers", [0, 1, 3000])
     def test_bit_equal_to_oracle(self, num_centers):
+        """Also on channels too short for any beat (below 200 samples) or for
+        any 180-sample row (below 180): no row, float32, and a False mask."""
         rng = np.random.default_rng(num_centers)
         channel = rng.standard_normal(20000).cumsum()
         channel[5000:5400] = 3.25  # constant rows
         centers = rng.integers(-50, 20050, num_centers)
         if num_centers > 1:
             centers[:7] = [99, 100, 101, 19899, 19900, 19901, 5200]
-        samples, kept = sg.cut_beats(channel, centers)
-        want = [oracle_beat(channel, int(c)) for c in centers]
-        assert kept.tolist() == [w is not None for w in want]
-        want = np.array([w for w in want if w is not None], dtype=np.float32).reshape(-1, 180)
-        assert samples.shape == want.shape and samples.dtype == np.float32
-        assert samples.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        assert_cut_equal_to_oracle(channel, centers)
+        for length in (0, 1, 179, 180, 199, 200):
+            centers = rng.integers(-50, length + 50, num_centers)
+            if num_centers > 1:
+                centers[:8] = [-1, 0, 90, 99, 100, 101, length - 100, length]
+            assert_cut_equal_to_oracle(channel[:length], centers)
 
 
 class TestSegmentRecords:
